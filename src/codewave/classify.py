@@ -61,16 +61,11 @@ class ResultSet:
 
     ranked: list[tuple[WeaknessClass, float]] = field(default_factory=list)
 
-    def top(self, k: int = 1) -> list[WeaknessClass]:
-        return [wc for wc, _ in self.ranked[:k]]
 
-    def best(self) -> tuple[WeaknessClass, float]:
-        return self.ranked[0]
-
-
-def train(vectors: list[tuple[WeaknessClass, FeatureVector]],
+def train(vectors: list[tuple[WeaknessClass, FeatureVector | np.ndarray]],
           kind: str = "mean", config_hash: str = "unconfigured") -> TrainingSet:
-    """Aggregate labeled feature vectors into per-class centroids.
+    """Aggregate labeled feature vectors (FeatureVectors, or the rows of a
+    feature matrix) into per-class centroids.
 
     Retraining with an extended vector list recomputes the centroids exactly;
     nothing incremental is cached, so there is no drift.
@@ -79,12 +74,12 @@ def train(vectors: list[tuple[WeaknessClass, FeatureVector]],
         raise ConfigError(f"unknown cluster kind {kind!r}")
     if not vectors:
         raise ConfigError("cannot train on an empty vector list")
-    dims = {fv.d for _, fv in vectors}
-    if len(dims) != 1:
-        raise ConfigError(f"mixed feature dimensions: {sorted(dims)}")
     grouped: dict[WeaknessClass, list[np.ndarray]] = {}
     for wc, fv in vectors:
-        grouped.setdefault(wc, []).append(fv.values)
+        grouped.setdefault(wc, []).append(getattr(fv, "values", fv))
+    dims = {len(v) for members in grouped.values() for v in members}
+    if len(dims) != 1:
+        raise ConfigError(f"mixed feature dimensions: {sorted(dims)}")
     aggregate = np.mean if kind == "mean" else np.median
     classes = {
         wc: ClusterModel(aggregate(np.vstack(members), axis=0), len(members), kind)
@@ -93,57 +88,93 @@ def train(vectors: list[tuple[WeaknessClass, FeatureVector]],
     return TrainingSet(classes, config_hash)
 
 
-def distance(a, b, metric: str = "eucl", p: float = 3.0, tol: float = 1e-4) -> float:
-    """Distance between two equal-length vectors under the chosen measure.
+def distances(X, C, metric: str = "eucl", p: float = 3.0,
+              tol: float = 1e-4) -> np.ndarray:
+    """N x K distances from every row of X to every row of C.
 
     eucl/cheb/mink are true metrics; cos is 1 - cosine similarity (zero
     vectors count as maximally distant, 1); hamming counts coordinates that
     differ by more than `tol`; diff sums those differences (a thresholded L1
     that collapses to plain L1 at tol=0).
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ConfigError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    if metric == "eucl":
-        return float(np.linalg.norm(a - b))
-    if metric == "cheb":
-        return float(np.max(np.abs(a - b))) if a.size else 0.0
-    if metric == "mink":
-        if p < 1:
-            raise ConfigError("minkowski exponent must be >= 1")
-        return float(np.sum(np.abs(a - b) ** p) ** (1.0 / p))
+    X = np.asarray(X, dtype=np.float64)
+    C = np.asarray(C, dtype=np.float64)
+    if X.ndim != 2 or C.ndim != 2 or X.shape[1] != C.shape[1]:
+        raise ConfigError(f"dimension mismatch: {X.shape} vs {C.shape}")
+    if metric not in METRICS:
+        raise ConfigError(f"unknown metric {metric!r}")
+    if metric == "mink" and p < 1:
+        raise ConfigError("minkowski exponent must be >= 1")
+    # Every measure is symmetric and computed pair by pair over one
+    # contiguous row, so looping over the shorter side gives the same bits
+    # either way and keeps temporaries at (longer side) x d.
+    if len(C) > len(X):
+        return distances(C, X, metric, p, tol).T
+    out = np.empty((len(X), len(C)), dtype=np.float64)
     if metric == "cos":
-        na, nb = np.linalg.norm(a), np.linalg.norm(b)
-        if na == 0.0 or nb == 0.0:
-            return 1.0
-        return float(1.0 - np.dot(a, b) / (na * nb))
-    if metric == "hamming":
-        return float(np.count_nonzero(np.abs(a - b) > tol))
-    if metric == "diff":
-        delta = np.abs(a - b)
-        return float(np.sum(delta[delta > tol]))
-    raise ConfigError(f"unknown metric {metric!r}")
+        x_norms = np.sqrt(np.einsum("ij,ij->i", X, X))
+        c_norms = np.sqrt(np.einsum("ij,ij->i", C, C))
+    for k, c in enumerate(C):
+        if metric == "cos":
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out[:, k] = 1.0 - np.einsum("ij,j->i", X, c) / (x_norms * c_norms[k])
+            out[(x_norms == 0.0) | (c_norms[k] == 0.0), k] = 1.0
+            continue
+        delta = X - c
+        np.abs(delta, out=delta)
+        if metric == "eucl":
+            out[:, k] = np.sqrt(np.einsum("ij,ij->i", delta, delta))
+        elif metric == "cheb":
+            out[:, k] = np.max(delta, axis=1, initial=0.0)
+        elif metric == "mink":
+            out[:, k] = np.sum(delta ** p, axis=1) ** (1.0 / p)
+        elif metric == "hamming":
+            out[:, k] = np.count_nonzero(delta > tol, axis=1)
+        else:
+            out[:, k] = np.sum(np.where(delta > tol, delta, 0.0), axis=1)
+    return out
+
+
+def distance(a, b, metric: str = "eucl", p: float = 3.0, tol: float = 1e-4) -> float:
+    """Distance between two equal-length vectors (one row of `distances`)."""
+    return float(distances(np.reshape(a, (1, -1)), np.reshape(b, (1, -1)),
+                           metric, p, tol)[0, 0])
+
+
+def by_id(classes) -> list[WeaknessClass]:
+    """Classes in id order, the column order of every score matrix."""
+    return sorted(classes, key=lambda wc: wc.id)
+
+
+def rank(classes: list[WeaknessClass], scores) -> list[tuple[WeaknessClass, float]]:
+    """Pair id-ordered classes with their scores, ascending.
+
+    The sort is stable, so ties keep id order: the same ranking as sorting
+    by (score, id), however the classes were ordered when trained.
+    """
+    return [(classes[j], float(scores[j]))
+            for j in np.argsort(scores, kind="stable")]
+
+
+def centroid_distances(X, ts: TrainingSet, classes: list[WeaknessClass],
+                       metric: str = "eucl", p: float = 3.0,
+                       tol: float = 1e-4) -> np.ndarray:
+    """N x K distances from the rows of X to the centroids of `classes`."""
+    centroids = np.array([ts.classes[wc].centroid for wc in classes])
+    return distances(X, centroids, metric, p, tol)
 
 
 def classify(v: FeatureVector, ts: TrainingSet, metric: str = "eucl",
              p: float = 3.0, tol: float = 1e-4) -> ResultSet:
-    """Rank every trained class by distance to `v`, ascending.
-
-    Ties break by class id so runs are reproducible no matter how the
-    training dictionary happened to be ordered.
-    """
+    """Rank every trained class by distance to `v`, ascending."""
     if not ts.classes:
         raise ConfigError("training set is empty")
     if v.d != ts.dimension:
         raise ConfigError(
             f"vector dimension {v.d} does not match training set {ts.dimension}")
-    scored = [
-        (wc, distance(v.values, model.centroid, metric, p, tol))
-        for wc, model in ts.classes.items()
-    ]
-    scored.sort(key=lambda item: (item[1], item[0].id))
-    return ResultSet(scored)
+    classes = by_id(ts.classes)
+    scores = centroid_distances(v.values.reshape(1, -1), ts, classes, metric, p, tol)
+    return ResultSet(rank(classes, scores[0]))
 
 
 # --- persistence (see docs/model-format.md) ----------------------------------

@@ -22,9 +22,9 @@ from pathlib import Path
 from . import dnet, nlp, report
 from .classify import MAGIC as TRAINING_SET_MAGIC
 from .classify import TrainingSet, load_training_set, save_training_set
-from .engine import (PipelineConfig, default_grid, merge_sweep_stats,
-                     parse_option_tokens, score_stats, sweep, test_case,
-                     train_case)
+from .engine import (PipelineConfig, default_grid, is_pipeline_flag,
+                     merge_sweep_stats, parse_option_tokens, score_stats,
+                     sweep, test_case, train_case)
 from .errors import CodewaveError, ConfigError, TransportError
 from .index import load_index
 from .loader import load_signal
@@ -90,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--root", default=".", help="corpus root directory")
         p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                       help="parallel file classification (default: CPU count)")
+                       help="processes per batch pass (default: CPU count)")
 
     p_train = sub.add_parser("train", help="learn per-class models from a train index")
     p_train.add_argument("--index", required=True)
@@ -223,7 +223,7 @@ def _cmd_sweep(ns, cfg: PipelineConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_serve(ns) -> int:
+def _cmd_serve(ns, _cfg: PipelineConfig) -> int:
     server = dnet.DemandStoreServer(ns.host, ns.port, lease_timeout=ns.lease)
     host, port = server.address
     print(f"demand store listening on {host}:{port}", flush=True)
@@ -244,7 +244,7 @@ def _cmd_work(ns, cfg: PipelineConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_report(ns) -> int:
+def _cmd_report(ns, _cfg: PipelineConfig) -> int:
     text = Path(ns.report_file).read_text(encoding="utf-8")
     report.validate_sate_xml(text)
     warnings, meta = report.parse_sate_xml(text)
@@ -260,27 +260,20 @@ def _cmd_report(ns) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns, pipeline_tokens = parser.parse_known_args(argv)
+    argv = sys.argv[1:] if argv is None else [str(a) for a in argv]
+    # pipeline flags go around argparse, which would read -hamming as -h amming
+    ns, unknown = build_parser().parse_known_args(
+        [a for a in argv if not is_pipeline_flag(a)])
     try:
-        cfg = parse_option_tokens(pipeline_tokens)
+        cfg = parse_option_tokens([a for a in argv if is_pipeline_flag(a)]
+                                  + unknown)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    commands = {"train": _cmd_train, "test": _cmd_test, "sweep": _cmd_sweep,
+                "serve": _cmd_serve, "work": _cmd_work, "report": _cmd_report}
     try:
-        if ns.command == "train":
-            return _cmd_train(ns, cfg)
-        if ns.command == "test":
-            return _cmd_test(ns, cfg)
-        if ns.command == "sweep":
-            return _cmd_sweep(ns, cfg)
-        if ns.command == "serve":
-            return _cmd_serve(ns)
-        if ns.command == "work":
-            return _cmd_work(ns, cfg)
-        if ns.command == "report":
-            return _cmd_report(ns)
-        raise ConfigError(f"unknown command {ns.command!r}")
+        return commands[ns.command](ns, cfg)
     except TransportError as exc:
         print(f"transport error: {exc}", file=sys.stderr)
         return EXIT_IO

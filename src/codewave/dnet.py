@@ -380,7 +380,7 @@ def run_worker(host: str, port: int, model: ModelType, cfg: PipelineConfig,
             if throttle:
                 time.sleep(throttle)
             data = (Path(root) / path).read_bytes()
-            result = classify_bytes(data, model, cfg, path)
+            result = classify_bytes(data, model, cfg)
             client.deposit_result(signature, worker_id,
                                   serialize_result(result))
             done += 1

@@ -11,22 +11,24 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
+import numpy as np
+
 from . import nlp
-from .classify import METRICS, ResultSet, TrainingSet
+from .classify import METRICS, ResultSet, TrainingSet, by_id, centroid_distances
 from .classify import classify as classify_vector
 from .classify import train as train_clusters
 from .errors import ConfigError
 from .features import FeatureVector, extract_fft, extract_lpc, extract_minmax
 from .index import TestCaseIndex, WeaknessClass
 from .loader import Signal, samples_from_bytes
-from .preprocess import FilterSpec, preprocess, wavelet
+from .preprocess import SCALING, FilterSpec, preprocess, wavelet
 
 NGRAM_FLAGS = {1: "-unigram", 2: "-bigram", 3: "-trigram"}
 FLAG_NGRAMS = {v: k for k, v in NGRAM_FLAGS.items()}
@@ -65,24 +67,34 @@ class PipelineConfig:
     graph: bool = False
 
     def __post_init__(self):
-        if self.class_kind not in ("cve", "cwe"):
-            raise ConfigError(f"unknown class kind {self.class_kind!r}")
-        if self.pipeline not in ("signal", "nlp"):
-            raise ConfigError(f"unknown pipeline {self.pipeline!r}")
-        if self.loader_ngram not in (1, 2, 3) or self.nlp_n not in (1, 2, 3):
-            raise ConfigError("n-gram sizes must be 1, 2 or 3")
-        if self.filter_kind not in ("raw", "norm", "low", "sdwt"):
-            raise ConfigError(f"unknown preprocessing {self.filter_kind!r}")
-        if self.extractor not in ("fft", "lpc", "minmax"):
-            raise ConfigError(f"unknown extractor {self.extractor!r}")
-        if self.metric not in METRICS:
-            raise ConfigError(f"unknown metric {self.metric!r}")
-        if self.smoothing not in nlp.SMOOTHINGS:
-            raise ConfigError(f"unknown smoothing {self.smoothing!r}")
-        if self.cluster_kind not in ("mean", "median"):
-            raise ConfigError(f"unknown cluster kind {self.cluster_kind!r}")
-        if self.threshold < 0:
-            raise ConfigError("threshold must be >= 0")
+        for name, allowed in (("class_kind", ("cve", "cwe")),
+                              ("pipeline", ("signal", "nlp")),
+                              ("loader_ngram", (1, 2, 3)),
+                              ("nlp_n", (1, 2, 3)),
+                              ("filter_kind", ("raw", "norm", "low", "sdwt")),
+                              ("wavelet_name", tuple(SCALING)),
+                              ("extractor", ("fft", "lpc", "minmax")),
+                              ("minmax_d", (2, 4)),
+                              ("metric", METRICS),
+                              ("cluster_kind", ("mean", "median")),
+                              ("smoothing", nlp.SMOOTHINGS)):
+            if getattr(self, name) not in allowed:
+                raise ConfigError(f"{name} must be one of {allowed}, "
+                                  f"not {getattr(self, name)!r}")
+        # each bound reads "valid", so a NaN parameter fails it too
+        for valid, problem in (
+                (0.0 < self.cutoff_fraction <= 1.0, "low-pass cutoff must be in (0, 1]"),
+                (self.sdwt_levels >= 1, "sdwt levels must be >= 1"),
+                (self.fft_window >= 1, "fft window must be >= 1"),
+                (1 <= self.fft_bins <= self.fft_window // 2,
+                 "fft bins must be between 1 and window/2"),
+                (self.lpc_order >= 1, "lpc order must be >= 1"),
+                (1.0 <= self.mink_p < math.inf, "minkowski exponent must be finite and >= 1"),
+                (0.0 <= self.tolerance < math.inf, "tolerance must be finite and >= 0"),
+                (0.0 < self.delta < math.inf, "delta must be finite and > 0"),
+                (self.threshold >= 0.0, "threshold must be a number >= 0")):
+            if not valid:
+                raise ConfigError(problem)
 
     @property
     def option_string(self) -> str:
@@ -173,6 +185,53 @@ class PipelineConfig:
         return nlp.SmoothingSpec(self.smoothing, self.delta)
 
 
+def _sdwt_param(param: str) -> dict:
+    name, _, levels = param.partition(":")
+    return {"wavelet_name": name, **({"sdwt_levels": int(levels)} if levels else {})}
+
+
+def _fft_param(param: str) -> dict:
+    window, _, bins = param.partition(":")
+    return {"fft_window": int(window),
+            "fft_bins": int(bins) if bins else int(window) // 2}
+
+
+# flag -> (the category it settles, or None if any number may be given;
+#          the fields it sets; a parser turning its "=param" into more fields,
+#          or None when it takes no parameter)
+FLAG_TABLE = {
+    "-nopreprep": (None, {}, None),
+    "-cweid": ("class kind", {"class_kind": "cwe"}, None),
+    **{flag: ("n-gram size", {"n": n}, None) for flag, n in FLAG_NGRAMS.items()},
+    **{f"-{k}": ("preprocessing", {"filter_kind": k}, None) for k in ("raw", "norm")},
+    "-low": ("preprocessing", {"filter_kind": "low"},
+             lambda v: {"cutoff_fraction": float(v)}),
+    "-sdwt": ("preprocessing", {"filter_kind": "sdwt"}, _sdwt_param),
+    "-fft": ("extractor", {"extractor": "fft"}, _fft_param),
+    "-lpc": ("extractor", {"extractor": "lpc"}, lambda v: {"lpc_order": int(v)}),
+    "-minmax": ("extractor", {"extractor": "minmax"},
+                lambda v: {"minmax_d": int(v)}),
+    **{f"-{m}": ("metric", {"metric": m}, None) for m in ("eucl", "cheb", "cos")},
+    "-mink": ("metric", {"metric": "mink"}, lambda v: {"mink_p": float(v)}),
+    **{f"-{m}": ("metric", {"metric": m}, lambda v: {"tolerance": float(v)})
+       for m in ("hamming", "diff")},
+    "-median": ("cluster kind", {"cluster_kind": "median"}, None),
+    "-char": (None, {"pipeline": "nlp"}, None),
+    **{flag: ("smoothing", {"smoothing": kind},
+              (lambda v: {"delta": float(v)}) if kind == "add_delta" else None)
+       for flag, kind in FLAG_SMOOTHINGS.items()},
+    "-threshold": (None, {}, lambda v: {"threshold": float(v)}),
+    **{f"-{name}": (None, {name: True}, None)
+       for name in ("flucid", "spectrogram", "graph")},
+}
+
+
+def is_pipeline_flag(token: str) -> bool:
+    """Whether a command-line token is a pipeline flag (either dash form)."""
+    flag = token[1:] if token.startswith("--") else token
+    return flag.partition("=")[0] in FLAG_TABLE
+
+
 def parse_option_tokens(tokens: Iterable[str]) -> PipelineConfig:
     """Parse a flag list (option-string form) back into a PipelineConfig.
 
@@ -183,93 +242,25 @@ def parse_option_tokens(tokens: Iterable[str]) -> PipelineConfig:
     """
     fields: dict = {}
     seen: dict[str, str] = {}  # category -> flag that set it
-
-    def settle(category: str, flag: str, **values):
-        if category in seen:
-            raise ConfigError(
-                f"conflicting flags: {seen[category]} and {flag} both set "
-                f"the {category}")
-        seen[category] = flag
-        fields.update(values)
-
-    ngram_value: Optional[tuple[str, int]] = None
     for raw in tokens:
         flag = raw[1:] if raw.startswith("--") else raw
         name, _, param = flag.partition("=")
-        if name == "-nopreprep":
-            continue
-        if name == "-cweid":
-            settle("class kind", name, class_kind="cwe")
-        elif name in FLAG_NGRAMS:
-            if ngram_value is not None:
-                raise ConfigError(
-                    f"conflicting flags: {ngram_value[0]} and {name} both set "
-                    f"the n-gram size")
-            ngram_value = (name, FLAG_NGRAMS[name])
-        elif name in ("-raw", "-norm"):
-            settle("preprocessing", name, filter_kind=name[1:])
-        elif name == "-low":
-            values = {"filter_kind": "low"}
-            if param:
-                values["cutoff_fraction"] = float(param)
-            settle("preprocessing", name, **values)
-        elif name == "-sdwt":
-            values = {"filter_kind": "sdwt"}
-            if param:
-                wavelet_name, _, levels = param.partition(":")
-                values["wavelet_name"] = wavelet_name
-                if levels:
-                    values["sdwt_levels"] = int(levels)
-            settle("preprocessing", name, **values)
-        elif name == "-fft":
-            values = {"extractor": "fft"}
-            if param:
-                window, _, bins = param.partition(":")
-                values["fft_window"] = int(window)
-                values["fft_bins"] = int(bins) if bins else int(window) // 2
-            settle("extractor", name, **values)
-        elif name == "-lpc":
-            values = {"extractor": "lpc"}
-            if param:
-                values["lpc_order"] = int(param)
-            settle("extractor", name, **values)
-        elif name == "-minmax":
-            values = {"extractor": "minmax"}
-            if param:
-                values["minmax_d"] = int(param)
-            settle("extractor", name, **values)
-        elif name in ("-eucl", "-cheb", "-cos"):
-            settle("metric", name, metric=name[1:])
-        elif name == "-mink":
-            values = {"metric": "mink"}
-            if param:
-                values["mink_p"] = float(param)
-            settle("metric", name, **values)
-        elif name in ("-hamming", "-diff"):
-            values = {"metric": name[1:]}
-            if param:
-                values["tolerance"] = float(param)
-            settle("metric", name, **values)
-        elif name == "-median":
-            settle("cluster kind", name, cluster_kind="median")
-        elif name == "-char":
-            fields["pipeline"] = "nlp"
-        elif name in FLAG_SMOOTHINGS:
-            values = {"smoothing": FLAG_SMOOTHINGS[name]}
-            if name == "-add-delta" and param:
-                values["delta"] = float(param)
-            settle("smoothing", name, **values)
-        elif name == "-threshold":
-            fields["threshold"] = float(param)
-        elif name == "-flucid":
-            fields["flucid"] = True
-        elif name == "-spectrogram":
-            fields["spectrogram"] = True
-        elif name == "-graph":
-            fields["graph"] = True
-        else:
+        if name not in FLAG_TABLE:
             raise ConfigError(f"unknown option {raw!r}")
+        category, values, parse = FLAG_TABLE[name]
+        if param and parse is None:
+            raise ConfigError(f"{name} takes no parameter")
+        if parse and not (param or values):
+            raise ConfigError(f"{name} needs a value ({name}=x)")
+        if category in seen:
+            raise ConfigError(
+                f"conflicting flags: {seen[category]} and {name} both set "
+                f"the {category}")
+        if category is not None:
+            seen[category] = name
+        fields.update(values, **(parse(param) if param else {}))
 
+    n = fields.pop("n", None)
     nlp_flags = {"smoothing"} & set(seen)
     signal_flags = {"preprocessing", "extractor", "metric", "cluster kind"} & set(seen)
     if fields.get("pipeline") == "nlp" or nlp_flags:
@@ -279,12 +270,8 @@ def parse_option_tokens(tokens: Iterable[str]) -> PipelineConfig:
                 f"({seen.get('smoothing', '-char')}) with signal flags "
                 f"({', '.join(sorted(seen[c] for c in signal_flags))})")
         fields["pipeline"] = "nlp"
-        if ngram_value is not None:
-            fields["nlp_n"] = ngram_value[1]
-    else:
-        fields["pipeline"] = "signal"
-        if ngram_value is not None:
-            fields["loader_ngram"] = ngram_value[1]
+    if n is not None:
+        fields["nlp_n" if fields.get("pipeline") == "nlp" else "loader_ngram"] = n
     return PipelineConfig(**fields)
 
 
@@ -292,13 +279,12 @@ def parse_option_string(option_string: str) -> PipelineConfig:
     return parse_option_tokens(option_string.split())
 
 
-# --- per-file classification --------------------------------------------------
+# --- one file -------------------------------------------------------------------
 
-def feature_vector(cfg: PipelineConfig, data: bytes, source: str = "") -> FeatureVector:
+def feature_vector(cfg: PipelineConfig, data: bytes) -> FeatureVector:
     """Run the signal pipeline on raw bytes: load, preprocess, extract."""
-    sig = Signal(samples_from_bytes(data, cfg.loader_ngram), source=source,
-                 ngram=cfg.loader_ngram)
-    sig = preprocess(sig, cfg.filter_spec())
+    sig = preprocess(Signal(samples_from_bytes(data, cfg.loader_ngram)),
+                     cfg.filter_spec())
     if cfg.extractor == "fft":
         return extract_fft(sig, cfg.fft_window, cfg.fft_bins)
     if cfg.extractor == "lpc":
@@ -306,16 +292,13 @@ def feature_vector(cfg: PipelineConfig, data: bytes, source: str = "") -> Featur
     return extract_minmax(sig, cfg.minmax_d)
 
 
-def classify_bytes(data: bytes, model: ModelType, cfg: PipelineConfig,
-                   source: str = "") -> ResultSet:
-    """Produce the ranked class list for one file's content."""
+def classify_bytes(data: bytes, model: ModelType, cfg: PipelineConfig) -> ResultSet:
+    """Produce the ranked class list for one file's content: the one-row
+    form of the scoring that `test_case` runs on whole batches."""
+    _model_classes(model, cfg)
     if cfg.pipeline == "signal":
-        if not isinstance(model, TrainingSet):
-            raise ConfigError("signal pipeline needs a TrainingSet model")
-        fv = feature_vector(cfg, data, source)
-        return classify_vector(fv, model, cfg.metric, cfg.mink_p, cfg.tolerance)
-    if not isinstance(model, dict):
-        raise ConfigError("nlp pipeline needs per-class n-gram models")
+        return classify_vector(feature_vector(cfg, data), model, cfg.metric,
+                               cfg.mink_p, cfg.tolerance)
     return nlp.rank_models(data, model, cfg.smoothing_spec())
 
 
@@ -421,8 +404,13 @@ def score_stats(warnings: list[ScanWarning], truth: TestCaseIndex,
         class_rows_first[wc.id] = StatsRow(wc.id)
         class_rows_second[wc.id] = StatsRow(wc.id)
 
-    def row(rows: dict[str, StatsRow], wc: WeaknessClass) -> StatsRow:
-        return rows.setdefault(wc.id, StatsRow(wc.id))
+    def tally(config_row: StatsRow, rows: dict[str, StatsRow],
+              wc: WeaknessClass, good: bool) -> None:
+        for counted in (config_row, rows.setdefault(wc.id, StatsRow(wc.id))):
+            if good:
+                counted.good += 1
+            else:
+                counted.bad += 1
 
     config_first = StatsRow(cfg.option_string)
     config_second = StatsRow(cfg.option_string)
@@ -433,21 +421,11 @@ def score_stats(warnings: list[ScanWarning], truth: TestCaseIndex,
             excluded += 1
             continue
         top_hit = warning.weakness in true_classes
-        if top_hit:
-            config_first.good += 1
-            row(class_rows_first, warning.weakness).good += 1
+        tally(config_first, class_rows_first, warning.weakness, top_hit)
+        if not top_hit and warning.second_guess in true_classes:
+            tally(config_second, class_rows_second, warning.second_guess, True)
         else:
-            config_first.bad += 1
-            row(class_rows_first, warning.weakness).bad += 1
-        if top_hit:
-            config_second.good += 1
-            row(class_rows_second, warning.weakness).good += 1
-        elif warning.second_guess is not None and warning.second_guess in true_classes:
-            config_second.good += 1
-            row(class_rows_second, warning.second_guess).good += 1
-        else:
-            config_second.bad += 1
-            row(class_rows_second, warning.weakness).bad += 1
+            tally(config_second, class_rows_second, warning.weakness, top_hit)
 
     for stats, config_row, class_rows in (
         (first, config_first, class_rows_first),
@@ -464,214 +442,192 @@ def score_stats(warnings: list[ScanWarning], truth: TestCaseIndex,
     return first, second
 
 
-# --- training and testing ------------------------------------------------------
+# --- the batch path: files in, feature or score matrices out -------------------
 
-def _read(root, path: str) -> bytes:
-    return (Path(root) / path).read_bytes()
-
-
-def _entry_classes(entry, class_kind: str) -> list[WeaknessClass]:
-    return sorted((wc for wc in entry.class_set() if wc.kind == class_kind),
-                  key=lambda w: w.id)
+def _contents(root, paths: Iterable[str]) -> Iterable[bytes]:
+    return ((Path(root) / path).read_bytes() for path in paths)
 
 
-def _vector_chunk(args) -> list[tuple[int, FeatureVector]]:
-    cfg, blobs, chunk = args
-    return [(pos, feature_vector(cfg, blobs[path], path))
-            for pos, path in chunk]
+def _fork_map(fn, items: list, jobs: int) -> list:
+    """Apply `fn` to contiguous chunks of `items`, one chunk per job, and
+    return the chunk results in order.
 
-
-def _chunks(items: list, jobs: int) -> list[list]:
-    size = -(-len(items) // jobs)
-    return [items[i: i + size] for i in range(0, len(items), size)]
-
-
-def _effective_jobs(jobs: int) -> int:
-    # forking past the core count only adds contention
-    return max(1, min(jobs, os.cpu_count() or 1))
-
-
-def _load_blobs(root, paths, blobs: Optional[dict[str, bytes]] = None,
-                ) -> dict[str, bytes]:
-    """Read file contents with a single reader.
-
-    Concurrent readers gain nothing (the kernel page cache already makes
-    repeat reads cheap, and many filesystems serialize the metadata work
-    anyway), so parallel runs slurp bytes up front and fork compute-only
-    children that inherit this map copy-on-write.
+    The caller runs the first chunk itself; each other chunk runs in a
+    forked child that inherits its inputs copy-on-write and streams its
+    pickled result into a pipe. Without os.fork every chunk runs in-process.
     """
-    out = blobs if blobs is not None else {}
-    for path in paths:
-        if path not in out:
-            out[path] = _read(root, path)
-    return out
-
-
-def _fork_map(fn, payloads: list) -> list:
-    """Fork one child per payload; children inherit inputs by copy-on-write
-    and send only pickled results back through a pipe.
-
-    Much lighter than a process pool for a handful of one-shot chunks: no
-    manager threads competing for cores and nothing serialized on the way
-    in. Caller must be on a platform with os.fork (everywhere but Windows).
-    """
-    import pickle
-
+    # forking past the core count only adds contention, and a child for one
+    # file costs more than it saves
+    jobs = max(1, min(jobs, os.cpu_count() or 1, len(items) // 2))
+    size = max(1, -(-len(items) // jobs))
+    chunks = [items[i: i + size] for i in range(0, len(items), size)]
+    if len(chunks) < 2 or not hasattr(os, "fork"):
+        return [fn(chunk) for chunk in chunks]
     children = []
-    for payload in payloads:
+    for chunk in chunks[1:]:
         read_fd, write_fd = os.pipe()
         pid = os.fork()
         if pid == 0:  # child
             os.close(read_fd)
             try:
-                blob = pickle.dumps(("ok", fn(payload)),
-                                    protocol=pickle.HIGHEST_PROTOCOL)
+                message = ("ok", fn(chunk))
             except BaseException as exc:  # noqa: BLE001 - crossing a process
                 try:
-                    blob = pickle.dumps(("exc", exc))
+                    message = ("exc", pickle.loads(pickle.dumps(exc)))
                 except Exception:
-                    blob = pickle.dumps(("exc", RuntimeError(repr(exc))))
+                    message = ("exc", RuntimeError(repr(exc)))
             try:
                 with os.fdopen(write_fd, "wb") as sink:
-                    sink.write(blob)
+                    pickle.dump(message, sink, protocol=pickle.HIGHEST_PROTOCOL)
             finally:
                 os._exit(0)
         os.close(write_fd)
         children.append((pid, read_fd))
-    results = []
-    failure = None
+    results, failure = [], None
+    try:
+        results.append(fn(chunks[0]))
+    except BaseException as exc:  # noqa: BLE001 - reap the children first
+        failure = exc
     for pid, read_fd in children:
         with os.fdopen(read_fd, "rb") as source:
-            blob = source.read()
+            try:
+                status, value = pickle.load(source)
+            except (EOFError, pickle.UnpicklingError):
+                status, value = "exc", RuntimeError("parallel worker died without a result")
         os.waitpid(pid, 0)
-        if not blob:
-            failure = failure or RuntimeError(
-                "parallel worker died without a result")
-            continue
-        status, value = pickle.loads(blob)
-        if status != "ok":
+        if status == "ok":
+            results.append(value)
+        else:
             failure = failure or value
-            continue
-        results.append(value)
     if failure is not None:
         raise failure
     return results
 
 
-def _map_chunked(fn, payloads: list, jobs: int) -> list:
-    """Run chunk payloads in parallel; fork-join where available."""
-    if hasattr(os, "fork"):
-        return _fork_map(fn, payloads)
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, payloads))
+def _features(cfg: PipelineConfig, root, paths: list[str]) -> np.ndarray:
+    """N x d float64 feature matrix, one row per file, filled in place."""
+    matrix = None
+    for i, data in enumerate(_contents(root, paths)):
+        row = feature_vector(cfg, data).values
+        matrix = np.empty((len(paths), row.size)) if matrix is None else matrix
+        matrix[i] = row
+    return matrix
 
 
-def train_case(index: TestCaseIndex, cfg: PipelineConfig, root,
-               jobs: int = 1, blobs: Optional[dict[str, bytes]] = None,
-               ) -> ModelType:
-    """Learn one model per weakness class from an annotated train index.
-
-    A file annotated with several classes contributes its whole content to
-    each of them; there is no fragment-level attribution. With jobs > 1 the
-    corpus is preloaded and feature extraction forks across cores; results
-    are identical either way.
-    """
-    if index.mode != "train":
-        raise ConfigError("training requires a train-mode index")
-    if cfg.pipeline == "nlp":
-        models: dict[WeaknessClass, nlp.NGramModel] = {}
-        for entry in index.entries:
-            classes = _entry_classes(entry, cfg.class_kind)
-            if not classes:
-                continue
-            data = blobs[entry.path] if blobs else _read(root, entry.path)
-            for wc in classes:
-                model = models.get(wc)
-                if model is None:
-                    model = models[wc] = nlp.NGramModel(
-                        n=cfg.nlp_n, label=wc, vocab_size=cfg.vocab_size)
-                model.update(data)
-        if not models:
-            raise ConfigError(
-                f"no {cfg.class_kind} classes found in the training index")
-        return models
-
-    jobs = _effective_jobs(jobs)
-    tasks = [(pos, entry.path) for pos, entry in enumerate(index.entries)
-             if _entry_classes(entry, cfg.class_kind)]
-    vectors_by_pos: dict[int, FeatureVector] = {}
-    if jobs == 1 or len(tasks) < 2 * jobs:
-        for pos, path in tasks:
-            data = blobs[path] if blobs else _read(root, path)
-            vectors_by_pos[pos] = feature_vector(cfg, data, path)
-    else:
-        blobs = _load_blobs(root, (path for _, path in tasks), blobs)
-        payloads = [(cfg, blobs, chunk) for chunk in _chunks(tasks, jobs)]
-        for result in _map_chunked(_vector_chunk, payloads, jobs):
-            for pos, fv in result:
-                vectors_by_pos[pos] = fv
-    labeled = []
-    for pos, entry in enumerate(index.entries):
-        if pos not in vectors_by_pos:
-            continue
-        for wc in _entry_classes(entry, cfg.class_kind):
-            labeled.append((wc, vectors_by_pos[pos]))
-    if not labeled:
-        raise ConfigError(
-            f"no {cfg.class_kind} classes found in the training index")
-    return train_clusters(labeled, cfg.cluster_kind, cfg.config_hash)
+def _feature_rows(cfg: PipelineConfig, root, paths: list[str],
+                  jobs: int) -> dict[str, np.ndarray]:
+    """The feature row of every distinct path, from one fork-join."""
+    paths = list(dict.fromkeys(paths))
+    parts = _fork_map(lambda chunk: _features(cfg, root, chunk), paths, jobs)
+    return dict(zip(paths, (row for part in parts for row in part)))
 
 
-def _classify_chunk(args) -> list[tuple[int, list[tuple[str, str, float]]]]:
-    model, cfg, blobs, chunk = args
-    out = []
-    for pos, path in chunk:
-        result = classify_bytes(blobs[path], model, cfg, path)
-        out.append((pos, [(wc.kind, wc.id, score) for wc, score in result.ranked]))
-    return out
-
-
-def model_config_hash(model: ModelType) -> Optional[str]:
-    return model.config_hash if isinstance(model, TrainingSet) else None
-
-
-def test_case(index: TestCaseIndex, model: ModelType, cfg: PipelineConfig,
-              root, jobs: int = 1, blobs: Optional[dict[str, bytes]] = None,
-              ) -> list[ScanWarning]:
-    """Classify every file of a test index and keep the accepted warnings.
-
-    Classification is read-only on the model, so with jobs > 1 the file list
-    is split across forked compute workers (the parent does all the reading
-    first); warnings come back in index order either way, making outputs
-    identical across job counts.
-    """
-    stored_hash = model_config_hash(model)
-    if stored_hash is not None and stored_hash != cfg.config_hash:
+def _model_classes(model: ModelType, cfg: PipelineConfig) -> list[WeaknessClass]:
+    """The model's classes in score-matrix column order (by id), after
+    checking that the model fits the configuration."""
+    signal_model = isinstance(model, TrainingSet)
+    if signal_model and model.config_hash != cfg.config_hash:
         raise ConfigError(
             f"model was trained under a different configuration "
-            f"(model {stored_hash}, requested {cfg.config_hash})")
-    jobs = _effective_jobs(jobs)
-    tasks = [(pos, entry.path) for pos, entry in enumerate(index.entries)]
-    results: dict[int, ResultSet] = {}
-    if jobs == 1 or len(tasks) < 2 * jobs:
-        for pos, path in tasks:
-            data = blobs[path] if blobs else _read(root, path)
-            results[pos] = classify_bytes(data, model, cfg, path)
-    else:
-        blobs = _load_blobs(root, (path for _, path in tasks), blobs)
-        payloads = [(model, cfg, blobs, chunk)
-                    for chunk in _chunks(tasks, jobs)]
-        for chunk_result in _map_chunked(_classify_chunk, payloads, jobs):
-            for pos, ranked in chunk_result:
-                results[pos] = ResultSet(
-                    [(WeaknessClass(kind, cid), score)
-                     for kind, cid, score in ranked])
+            f"(model {model.config_hash}, requested {cfg.config_hash})")
+    if signal_model != (cfg.pipeline == "signal"):
+        raise ConfigError(f"the {cfg.pipeline} pipeline cannot use this model")
+    classes = model.classes if signal_model else model
+    if not classes:
+        raise ConfigError("the model has no classes")
+    return by_id(classes)
+
+
+def _scores(cfg: PipelineConfig, model: ModelType,
+            classes: list[WeaknessClass], root, paths: list[str]) -> np.ndarray:
+    """N x K score matrix of file contents against `classes`, lower is
+    better: centroid distances, or negated n-gram log-likelihoods."""
+    if cfg.pipeline == "signal":
+        return centroid_distances(_features(cfg, root, paths), model, classes,
+                                  cfg.metric, cfg.mink_p, cfg.tolerance)
+    spec = cfg.smoothing_spec()
+    return np.array([[-nlp.score_document(data, model[wc], spec)
+                      for wc in classes] for data in _contents(root, paths)])
+
+
+def _score_index(index: TestCaseIndex, model: ModelType, cfg: PipelineConfig,
+                 root, jobs: int):
+    """(paths, classes, scores) for every file of `index`, from one
+    fork-join whose children each return their block of the score matrix."""
+    classes = _model_classes(model, cfg)
+    paths = [entry.path for entry in index.entries]
+    parts = _fork_map(lambda chunk: _scores(cfg, model, classes, root, chunk),
+                      paths, jobs)
+    scores = np.concatenate(parts) if parts else np.empty((0, len(classes)))
+    return paths, classes, scores
+
+
+def _warnings(paths: list[str], classes: list[WeaknessClass],
+              scores: np.ndarray, cfg: PipelineConfig) -> list[ScanWarning]:
+    """Threshold each score row's best class into a warning, in row order.
+
+    A stable sort over id-ordered columns ranks by (score, id), so only
+    the top two entries of each row are ever materialized.
+    """
     warnings = []
-    for pos, entry in enumerate(index.entries):
-        warning = warning_from_result(entry.path, results[pos], cfg)
+    top_two = np.argsort(scores, axis=1, kind="stable")[:, :2]
+    for path, row, top in zip(paths, scores, top_two):
+        result = ResultSet([(classes[j], float(row[j])) for j in top])
+        warning = warning_from_result(path, result, cfg)
         if warning is not None:
             warnings.append(warning)
     return warnings
+
+
+def _labeled(index: TestCaseIndex, cfg: PipelineConfig,
+             ) -> list[tuple[str, list[WeaknessClass]]]:
+    """(path, classes) of every train entry with classes of the run's kind."""
+    if index.mode != "train":
+        raise ConfigError("training requires a train-mode index")
+    labeled = [(entry.path, by_id(wc for wc in entry.class_set()
+                                  if wc.kind == cfg.class_kind))
+               for entry in index.entries]
+    labeled = [(path, classes) for path, classes in labeled if classes]
+    if not labeled:
+        raise ConfigError(
+            f"no {cfg.class_kind} classes found in the training index")
+    return labeled
+
+
+def _train(labeled, cfg: PipelineConfig, rows: dict[str, np.ndarray]) -> TrainingSet:
+    vectors = [(wc, rows[path]) for path, classes in labeled for wc in classes]
+    return train_clusters(vectors, cfg.cluster_kind, cfg.config_hash)
+
+
+def train_case(index: TestCaseIndex, cfg: PipelineConfig, root,
+               jobs: int = 1) -> ModelType:
+    """Learn one model per weakness class from an annotated train index.
+
+    A file annotated with several classes contributes its whole content to
+    each of them; there is no fragment-level attribution. With jobs > 1
+    feature extraction forks across cores; results are identical either way.
+    """
+    labeled = _labeled(index, cfg)
+    paths = [path for path, _ in labeled]
+    if cfg.pipeline == "signal":
+        return _train(labeled, cfg, _feature_rows(cfg, root, paths, jobs))
+    models: dict[WeaknessClass, nlp.NGramModel] = {}
+    for (_, classes), data in zip(labeled, _contents(root, paths)):
+        for wc in classes:
+            models.setdefault(wc, nlp.NGramModel(
+                n=cfg.nlp_n, label=wc, vocab_size=cfg.vocab_size)).update(data)
+    return models
+
+
+def test_case(index: TestCaseIndex, model: ModelType, cfg: PipelineConfig,
+              root, jobs: int = 1) -> list[ScanWarning]:
+    """Classify every file of a test index and keep the accepted warnings.
+
+    Classification is read-only on the model, so with jobs > 1 the file list
+    is split across forked workers; warnings come back in index order either
+    way, making outputs identical across job counts.
+    """
+    return _warnings(*_score_index(index, model, cfg, root, jobs), cfg)
 
 
 def calibrate_threshold(index: TestCaseIndex, model: ModelType,
@@ -679,12 +635,8 @@ def calibrate_threshold(index: TestCaseIndex, model: ModelType,
     """Detection-mode threshold: the worst top-1 score over the training
     files themselves, scaled by `factor`. Content the model has seen stays
     accepted; anything scoring beyond every known example gets rejected."""
-    worst = 0.0
-    for entry in index.entries:
-        result = classify_bytes(_read(root, entry.path), model, cfg, entry.path)
-        if result.ranked:
-            worst = max(worst, result.ranked[0][1])
-    return worst * factor
+    _, _, scores = _score_index(index, model, cfg, root, jobs=1)
+    return float(scores.min(axis=1).max(initial=0.0)) * factor
 
 
 # --- permutation sweeps ----------------------------------------------------------
@@ -705,45 +657,74 @@ class SweepEntry:
         return self.first.per_config[0].pct
 
 
+def _group_pass(train_index: TestCaseIndex, test_index: TestCaseIndex,
+                cfg: PipelineConfig, root, jobs: int):
+    """Run the pass that every config with cfg's config_hash shares and
+    return the per-config step, which maps a config to its warnings.
+
+    NLP configs share one n-gram count and differ in smoothing. Signal
+    configs share one fork-join extracting each distinct train and test file
+    once (a self-test classifies the very files it trained on) and differ in
+    centroids and metric.
+    """
+    if cfg.pipeline == "nlp":
+        models = train_case(train_index, cfg, root)
+        return lambda c: test_case(test_index, models, c, root, jobs=jobs)
+    test_paths = [entry.path for entry in test_index.entries]
+    labeled = _labeled(train_index, cfg)
+    rows = _feature_rows(cfg, root, [p for p, _ in labeled] + test_paths, jobs)
+    d = len(rows[labeled[0][0]])
+    X = np.array([rows[path] for path in test_paths]).reshape(-1, d)
+
+    def classify_all(c: PipelineConfig) -> list[ScanWarning]:
+        model = _train(labeled, c, rows)
+        classes = by_id(model.classes)
+        return _warnings(test_paths, classes, centroid_distances(
+            X, model, classes, c.metric, c.mink_p, c.tolerance), c)
+    return classify_all
+
+
 def run_once(train_index: TestCaseIndex, test_index: TestCaseIndex,
              cfg: PipelineConfig, root, jobs: int = 1,
              ) -> tuple[list[ScanWarning], RunStats, RunStats]:
-    """Train, test, and score in one go.
-
-    Parallel runs preload each distinct file exactly once and share the
-    bytes between the training and testing passes (self-tests read the same
-    corpus twice otherwise), trading memory for wall-clock time.
-    """
-    blobs: Optional[dict[str, bytes]] = None
-    if _effective_jobs(jobs) > 1:
-        paths = [e.path for e in train_index.entries]
-        paths += [e.path for e in test_index.entries]
-        blobs = _load_blobs(root, paths)
-    model = train_case(train_index, cfg, root, jobs=jobs, blobs=blobs)
-    warnings = test_case(test_index, model, cfg, root, jobs=jobs, blobs=blobs)
-    first, second = score_stats(warnings, test_index, cfg)
-    return warnings, first, second
+    """Train, test, and score in one go."""
+    warnings = _group_pass(train_index, test_index, cfg, root, jobs)(cfg)
+    return (warnings, *score_stats(warnings, test_index, cfg))
 
 
 def sweep(train_index: TestCaseIndex, test_index: TestCaseIndex,
           grid: Iterable[PipelineConfig], root, jobs: int = 1) -> list[SweepEntry]:
     """Run every configuration and rank them by first-guess precision.
 
-    One failing configuration (say, an extractor rejecting a parameter)
-    is recorded as a failed row and the sweep keeps going; ties rank by
-    option string so repeated sweeps agree.
+    Configurations sharing a config_hash share one pass (see `_group_pass`);
+    an entry's elapsed time is its own step plus an equal share of that
+    pass. A failing configuration is recorded as a failed row (a failing
+    shared pass fails its whole group) and the sweep keeps going; ties rank
+    by option string so repeated sweeps agree.
     """
-    entries = []
+    groups: dict[str, list[PipelineConfig]] = {}
     for cfg in grid:
+        groups.setdefault(cfg.config_hash, []).append(cfg)
+    entries = []
+    for cfgs in groups.values():
         started = time.perf_counter()
+        step, group_error = None, None
         try:
-            _, first, second = run_once(train_index, test_index, cfg, root,
-                                        jobs=jobs)
-            entries.append(SweepEntry(cfg, cfg.option_string, first, second,
-                                      time.perf_counter() - started))
+            step = _group_pass(train_index, test_index, cfgs[0], root, jobs)
         except Exception as exc:  # noqa: BLE001 - sweep must survive any config
-            entries.append(SweepEntry(cfg, cfg.option_string, None, None,
-                                      time.perf_counter() - started, str(exc)))
+            group_error = str(exc)
+        share = (time.perf_counter() - started) / len(cfgs)
+        for cfg in cfgs:
+            started = time.perf_counter()
+            stats, error = (None, None), group_error
+            if error is None:
+                try:
+                    stats = score_stats(step(cfg), test_index, cfg)
+                except Exception as exc:  # noqa: BLE001
+                    error = str(exc)
+            entries.append(SweepEntry(cfg, cfg.option_string, *stats,
+                                      share + time.perf_counter() - started,
+                                      error))
     entries.sort(key=lambda e: (e.error is not None, -e.first_pct, e.option_string))
     return entries
 
@@ -766,17 +747,14 @@ def default_grid(class_kind: str = "cve") -> list[PipelineConfig]:
 
 def merge_sweep_stats(entries: list[SweepEntry]) -> tuple[RunStats, RunStats]:
     """Collapse sweep entries into two table-ready stats blocks."""
-    first = RunStats("first")
-    second = RunStats("second")
+    merged = (RunStats("first"), RunStats("second"))
     for entry in entries:
-        if entry.error is not None:
-            first.diagnostics.append(f"{entry.option_string}: {entry.error}")
-            second.diagnostics.append(f"{entry.option_string}: {entry.error}")
-            continue
-        first.per_config.extend(entry.first.per_config)
-        first.diagnostics.extend(entry.first.diagnostics)
-        second.per_config.extend(entry.second.per_config)
-        second.diagnostics.extend(entry.second.diagnostics)
-    for stats in (first, second):
+        for stats, part in zip(merged, (entry.first, entry.second)):
+            if entry.error is not None:
+                stats.diagnostics.append(f"{entry.option_string}: {entry.error}")
+            else:
+                stats.per_config.extend(part.per_config)
+                stats.diagnostics.extend(part.diagnostics)
+    for stats in merged:
         stats.per_config.sort(key=lambda r: (-r.pct, r.key))
-    return first, second
+    return merged

@@ -14,7 +14,7 @@ import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .classify import ResultSet, _pack_str, _unpack_str
+from .classify import ResultSet, _pack_str, _unpack_str, by_id, rank
 from .errors import ConfigError, ModelFormatError
 from .index import WeaknessClass
 
@@ -142,12 +142,9 @@ def rank_models(data: bytes, models: dict[WeaknessClass, NGramModel],
     """
     if not models:
         raise ConfigError("no trained language models")
-    scored = [
-        (wc, -score_document(data, model, smoothing))
-        for wc, model in models.items()
-    ]
-    scored.sort(key=lambda item: (item[1], item[0].id))
-    return ResultSet(scored)
+    classes = by_id(models)
+    return ResultSet(rank(classes, [-score_document(data, models[wc], smoothing)
+                                    for wc in classes]))
 
 
 # --- persistence (same container family as CWTS; see docs/model-format.md) ---

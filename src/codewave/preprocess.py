@@ -21,7 +21,7 @@ _SQRT3 = math.sqrt(3.0)
 
 # Daubechies scaling coefficients; the wavelet (detail) filter is the
 # quadrature mirror g[k] = (-1)^k * h[L-1-k].
-_SCALING = {
+SCALING = {
     "haar": (1.0 / SQRT2, 1.0 / SQRT2),
     "db2": (
         (1.0 + _SQRT3) / (4.0 * SQRT2),
@@ -48,9 +48,9 @@ class WaveletSpec:
 
 
 def wavelet(name: str) -> WaveletSpec:
-    if name not in _SCALING:
-        raise ValueError(f"unknown wavelet {name!r} (expected one of {sorted(_SCALING)})")
-    h = _SCALING[name]
+    if name not in SCALING:
+        raise ValueError(f"unknown wavelet {name!r} (expected one of {sorted(SCALING)})")
+    h = SCALING[name]
     L = len(h)
     g = tuple((-1.0) ** k * h[L - 1 - k] for k in range(L))
     return WaveletSpec(name, h, g)

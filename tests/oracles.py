@@ -105,3 +105,27 @@ def brute_ngram_counts(data, n):
         sym = data[i + n - 1]
         counts.setdefault(ctx, {})[sym] = counts.get(ctx, {}).get(sym, 0) + 1
     return counts
+
+
+def scalar_distance(a, b, metric, p=3.0, tol=1e-4):
+    """One pair at a time, by the per-metric formulas the package used
+    before distances were computed a whole matrix at once."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    delta = np.abs(a - b)
+    if metric == "eucl":
+        return float(np.linalg.norm(a - b))
+    if metric == "cheb":
+        return float(np.max(delta)) if a.size else 0.0
+    if metric == "mink":
+        return float(np.sum(delta ** p) ** (1.0 / p))
+    if metric == "cos":
+        na, nb = np.linalg.norm(a), np.linalg.norm(b)
+        if na == 0.0 or nb == 0.0:
+            return 1.0
+        return float(1.0 - np.dot(a, b) / (na * nb))
+    if metric == "hamming":
+        return float(np.count_nonzero(delta > tol))
+    if metric == "diff":
+        return float(np.sum(delta[delta > tol]))
+    raise ValueError(metric)

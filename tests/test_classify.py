@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from codewave.classify import (ResultSet, TrainingSet, classify, distance,
-                               load_training_set, save_training_set, train)
+from codewave.classify import (METRICS, TrainingSet, classify, distance,
+                               distances, load_training_set, save_training_set,
+                               train)
 from codewave.errors import ConfigError, ModelFormatError
 from codewave.features import FeatureVector
 from codewave.index import WeaknessClass
+
+from .oracles import scalar_distance
 
 
 def fv(*values):
@@ -91,6 +96,53 @@ class TestDistance:
             assert dab <= distance(a, c, metric) + distance(c, b, metric) + 1e-9
 
 
+def matrices(d_max=6, rows_max=5):
+    """(X, C): two float matrices of a shared width, sometimes with
+    all-zero rows (the cos special case) and repeated rows (ties)."""
+    value = st.floats(-1e3, 1e3, allow_nan=False)
+
+    def rows_of(d):
+        row = st.one_of(st.lists(value, min_size=d, max_size=d),
+                        st.just([0.0] * d))
+        return st.lists(row, min_size=1, max_size=rows_max)
+
+    return st.integers(0, d_max).flatmap(
+        lambda d: st.tuples(rows_of(d), rows_of(d)))
+
+
+class TestDistances:
+    @settings(max_examples=60, deadline=None)
+    @given(matrices(), st.floats(1.0, 4.0), st.floats(0.0, 1.0))
+    def test_agrees_with_scalar_formulas(self, pair, p, tol):
+        X, C = (np.array(m, dtype=float).reshape(len(m), -1) for m in pair)
+        for metric in METRICS:
+            got = distances(X, C, metric, p, tol)
+            assert got.shape == (len(X), len(C))
+            for i, x in enumerate(X):
+                for k, c in enumerate(C):
+                    want = scalar_distance(x, c, metric, p, tol)
+                    assert abs(got[i, k] - want) <= 1e-12 * max(1.0, abs(want))
+
+    @settings(max_examples=40, deadline=None)
+    @given(matrices(rows_max=7))
+    def test_row_scores_do_not_depend_on_the_batch(self, pair):
+        X, C = (np.array(m, dtype=float).reshape(len(m), -1) for m in pair)
+        for metric in METRICS:
+            full = distances(X, C, metric)
+            for i in range(len(X)):
+                assert np.array_equal(distances(X[i:i + 1], C, metric)[0], full[i])
+            assert np.array_equal(distances(C, X, metric).T, full)
+
+    def test_cos_zero_rows_score_one(self):
+        got = distances(np.zeros((2, 3)), np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]]),
+                        "cos")
+        assert got.tolist() == [[1.0, 1.0], [1.0, 1.0]]
+
+    def test_width_mismatch(self):
+        with pytest.raises(ConfigError):
+            distances(np.zeros((2, 3)), np.zeros((2, 4)), "eucl")
+
+
 class TestClassify:
     def build(self):
         return train([(CWE20, fv(0, 0)), (CWE119, fv(1, 0)), (CWE399, fv(0, 2))],
@@ -99,12 +151,13 @@ class TestClassify:
     def test_exact_match_scores_zero(self):
         ts = self.build()
         result = classify(fv(1, 0), ts, "eucl")
-        assert result.best() == (CWE119, 0.0)
+        assert result.ranked[0] == (CWE119, 0.0)
 
     def test_tie_break_lexicographic(self):
         ts = train([(CWE119, fv(0, 1)), (CWE20, fv(0, -1))], "mean")
         result = classify(fv(0, 0), ts, "eucl")
-        assert result.top(2) == [CWE119, CWE20]  # "CWE-119" < "CWE-20"
+        # "CWE-119" < "CWE-20"
+        assert [wc for wc, _ in result.ranked] == [CWE119, CWE20]
 
     def test_matches_brute_force_ranking(self):
         ts = self.build()
@@ -132,7 +185,7 @@ class TestClassify:
         ts = train(vectors, "mean")
         for wc, vector in vectors:
             result = classify(vector, ts, "eucl")
-            assert result.best() == (wc, 0.0)
+            assert result.ranked[0] == (wc, 0.0)
 
 
 class TestPersistence:
@@ -159,8 +212,3 @@ class TestPersistence:
     def test_training_set_requires_hash(self):
         with pytest.raises(ValueError):
             TrainingSet({}, "")
-
-    def test_result_set_top(self):
-        rs = ResultSet([(CWE20, 0.1), (CWE119, 0.5)])
-        assert rs.top(1) == [CWE20]
-        assert rs.top(5) == [CWE20, CWE119]

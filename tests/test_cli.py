@@ -67,6 +67,27 @@ class TestTrainTest:
                         "--model", base / "m.cwts", "-fft", "-lpc"])
         assert code == 1
 
+    @pytest.mark.parametrize("metric", ["-hamming", "-hamming=0.01"])
+    def test_hamming_flags_reach_the_pipeline(self, corpus, capsys, metric):
+        # argparse alone would read -hamming as -h with the value "amming"
+        root, train_xml, test_xml, base = corpus
+        flags = ["-cweid", "-nopreprep", "-raw", "-fft=128:64", metric]
+        model = base / "model.cwts"
+        assert run_cli(["train", "--index", train_xml, "--root", root,
+                        "--model", model, *flags]) == 0
+        assert run_cli(["test", "--index", test_xml, "--root", root,
+                        "--model", model, "--out", base / "h", *flags]) == 0
+        assert f"-raw -fft=128:64 {metric}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("bad", ["-fft=0", "-threshold=nan", "-mink=0.5",
+                                     "-lpc=0", "-hamming=-1"])
+    def test_bad_parameter_exits_1(self, corpus, capsys, bad):
+        root, train_xml, _, base = corpus
+        code = run_cli(["train", "--index", train_xml, "--root", root,
+                        "--model", base / "m.cwts", "-cweid", bad])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_missing_index_exits_2(self, corpus):
         root, _, _, base = corpus
         code = run_cli(["train", "--index", base / "absent.xml",

@@ -1,4 +1,5 @@
 import math
+import os
 from decimal import Decimal
 
 import pytest
@@ -9,6 +10,7 @@ from codewave.engine import (PipelineConfig, ScanWarning, StatsRow,
                              parse_option_string, parse_option_tokens,
                              precision_pct, run_once, score_stats, sweep,
                              train_case)
+from codewave.engine import _fork_map
 from codewave.engine import test_case as classify_case
 from codewave.errors import ConfigError
 from codewave.index import IndexEntry, WeaknessClass
@@ -94,6 +96,30 @@ class TestOptionStrings:
                      "-nopreprep -raw -fft -cheb -threshold=0.5",
                      "-nopreprep -raw -fft -cheb -flucid"):
             assert parse_option_string(text).config_hash == base.config_hash
+
+    @pytest.mark.parametrize("text, digest", [
+        ("-cweid -nopreprep -raw -fft -cheb", "5416be5508e94be7"),
+        ("-nopreprep -raw -fft -cheb", "8f80e654a8e1ef4e"),
+        ("-nopreprep -low=0.5 -fft=256:64 -mink=4", "c820969a1d44a90b"),
+        ("-nopreprep -sdwt=db2:2 -lpc=12 -hamming=0.01", "d709fe21c0c53abc"),
+        ("-nopreprep -unigram -norm -minmax=2 -cos -median", "5c3d8145641c6508"),
+        ("-cweid -nopreprep -char -trigram -add-delta=0.5", "716a55f6c07aaea5"),
+        ("-cweid -nopreprep -char -unigram -mle", "aca0ad76458dbfaa"),
+    ])
+    def test_config_hash_pinned(self, text, digest):
+        # saved models embed this hash; changing it orphans every model
+        assert parse_option_string(text).config_hash == digest
+
+    @pytest.mark.parametrize("text", [
+        "-fft=0", "-fft=1", "-fft=64:33", "-fft=64:0", "-lpc=0", "-minmax=3",
+        "-low=0", "-low=1.5", "-low=nan", "-sdwt=db4", "-sdwt=haar:0",
+        "-mink=0.5", "-mink=nan", "-mink=inf", "-hamming=-1", "-diff=nan",
+        "-threshold=-1", "-threshold=nan", "-char -add-delta=0",
+        "-raw=1", "-threshold",
+    ])
+    def test_bad_parameters_rejected(self, text):
+        with pytest.raises(ConfigError):
+            parse_option_string(text)
 
 
 @pytest.fixture
@@ -335,6 +361,105 @@ class TestGridConstruction:
         assert len(options) == 216  # canonical strings are one-to-one
         for cfg in grid:
             assert parse_option_string(cfg.option_string) == cfg
+
+
+def overlapping_indexes(index):
+    """Train on the first six files, test on the last six: three shared."""
+    train = CaseIndex("tiny", "1.0", index.entries[:6], mode="train")
+    test = CaseIndex("tiny", "1.0", index.entries[3:], mode="test")
+    return train, test
+
+
+def sweep_rows(entries):
+    return [(e.option_string, e.error,
+             [(r.key, r.good, r.bad) for s in (e.first, e.second) if s
+              for r in s.per_config + s.per_class])
+            for e in entries]
+
+
+SMALL_GRID = [PipelineConfig(class_kind="cwe", fft_window=64, fft_bins=32,
+                             metric=m, cluster_kind=k)
+              for m in ("cheb", "cos", "diff") for k in ("mean", "median")]
+SMALL_GRID += [PipelineConfig(class_kind="cwe", pipeline="nlp", smoothing=s)
+               for s in ("mle", "witten_bell")]
+
+
+class TestJobsInvariance:
+    @pytest.mark.parametrize("jobs", [2, 4])
+    def test_run_once_matches_serial(self, tiny_corpus, jobs):
+        root, index = tiny_corpus
+        train, test = overlapping_indexes(index)
+        for cfg in (SIGNAL_CFG, SMALL_GRID[-1]):
+            assert (repr(run_once(train, test, cfg, root, jobs=jobs))
+                    == repr(run_once(train, test, cfg, root, jobs=1)))
+
+    @pytest.mark.parametrize("jobs", [2, 4])
+    def test_sweep_matches_serial(self, tiny_corpus, jobs):
+        root, index = tiny_corpus
+        train, test = overlapping_indexes(index)
+        assert (sweep_rows(sweep(train, test, SMALL_GRID, root, jobs=jobs))
+                == sweep_rows(sweep(train, test, SMALL_GRID, root, jobs=1)))
+
+    def test_sweep_rows_match_separate_runs(self, tiny_corpus):
+        root, index = tiny_corpus
+        train, test = overlapping_indexes(index)
+        by_option = {e.option_string: e
+                     for e in sweep(train, test, SMALL_GRID, root, jobs=2)}
+        for cfg in SMALL_GRID:
+            _, first, second = run_once(train, test, cfg, root)
+            entry = by_option[cfg.option_string]
+            assert repr((entry.first, entry.second)) == repr((first, second))
+
+    def test_failed_shared_pass_fails_its_group(self, tiny_corpus):
+        root, index = tiny_corpus
+        train, test = overlapping_indexes(index)
+        grid = [PipelineConfig(class_kind="cve", metric=m)
+                for m in ("cheb", "eucl")] + [SIGNAL_CFG]
+        entries = sweep(train, test, grid, root)
+        assert [e.error is None for e in entries] == [True, False, False]
+        assert entries[1].error == entries[2].error
+        assert "no cve classes" in entries[1].error
+
+
+class TestForkMap:
+    """Failures in a forked chunk reach the caller; two jobs always fork."""
+
+    @pytest.fixture(autouse=True)
+    def two_cores(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+    def test_chunks_come_back_in_order(self):
+        assert _fork_map(lambda chunk: [x * x for x in chunk],
+                         list(range(7)), jobs=2) == [[0, 1, 4, 9], [16, 25, 36]]
+
+    def test_child_exception_is_raised(self):
+        def fail_second_chunk(chunk):
+            if chunk[0] >= 2:
+                raise ValueError(f"bad chunk {chunk}")
+            return chunk
+        with pytest.raises(ValueError, match=r"bad chunk \[2, 3\]"):
+            _fork_map(fail_second_chunk, [0, 1, 2, 3], jobs=2)
+
+    def test_unpicklable_child_exception_keeps_its_message(self):
+        class LocalError(Exception):
+            pass
+
+        def fail_second_chunk(chunk):
+            if chunk[0] >= 2:
+                raise LocalError("cannot cross a pipe")
+            return chunk
+        with pytest.raises(RuntimeError, match="cannot cross a pipe"):
+            _fork_map(fail_second_chunk, [0, 1, 2, 3], jobs=2)
+
+    def test_child_dying_without_result(self):
+        caller = os.getpid()
+
+        def die_in_child(chunk):
+            if os.getpid() != caller:
+                os._exit(1)
+            return chunk
+        with pytest.raises(RuntimeError, match="died without a result"):
+            _fork_map(die_in_child, [0, 1, 2, 3], jobs=2)
 
 
 class TestSweep:

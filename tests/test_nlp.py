@@ -137,7 +137,7 @@ class TestScoring:
         models = {CWE20: train_model(a_text, 1, CWE20),
                   CWE119: train_model(b_text, 1, CWE119)}
         result = rank_models(a_text, models, spec)
-        assert result.top(1) == [CWE20]
+        assert result.ranked[0][0] == CWE20
         # brute-force check: compare per-symbol product via logs
         by_hand = {}
         for wc, model in models.items():
