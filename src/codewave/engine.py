@@ -39,6 +39,13 @@ FLAG_SMOOTHINGS = {v: k for k, v in SMOOTHING_FLAGS.items()}
 ModelType = Union[TrainingSet, dict[WeaknessClass, nlp.NGramModel]]
 
 
+def _number(value: float) -> str:
+    """A float parameter as text: `:g` (so existing option strings and
+    hashes stay put) where that reads back as the same float, else repr."""
+    text = f"{value:g}"
+    return text if float(text) == value else repr(value)
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     class_kind: str = "cve"          # cve | cwe ("-cweid")
@@ -117,7 +124,7 @@ class PipelineConfig:
             tokens.append(NGRAM_FLAGS[self.nlp_n])
             tokens.append(self._smoothing_token())
         if math.isfinite(self.threshold):
-            tokens.append(f"-threshold={self.threshold:g}")
+            tokens.append(f"-threshold={_number(self.threshold)}")
         for flag, enabled in (("-flucid", self.flucid),
                               ("-spectrogram", self.spectrogram),
                               ("-graph", self.graph)):
@@ -128,7 +135,7 @@ class PipelineConfig:
     def _prep_token(self) -> str:
         if self.filter_kind == "low":
             return "-low" if self.cutoff_fraction == 0.25 else \
-                f"-low={self.cutoff_fraction:g}"
+                f"-low={_number(self.cutoff_fraction)}"
         if self.filter_kind == "sdwt":
             if self.wavelet_name == "haar" and self.sdwt_levels == 1:
                 return "-sdwt"
@@ -146,14 +153,14 @@ class PipelineConfig:
 
     def _metric_token(self) -> str:
         if self.metric == "mink" and self.mink_p != 3.0:
-            return f"-mink={self.mink_p:g}"
+            return f"-mink={_number(self.mink_p)}"
         if self.metric in ("hamming", "diff") and self.tolerance != 1e-4:
-            return f"-{self.metric}={self.tolerance:g}"
+            return f"-{self.metric}={_number(self.tolerance)}"
         return f"-{self.metric}"
 
     def _smoothing_token(self) -> str:
         if self.smoothing == "add_delta" and self.delta != 1.0:
-            return f"-add-delta={self.delta:g}"
+            return f"-add-delta={_number(self.delta)}"
         return SMOOTHING_FLAGS[self.smoothing]
 
     @property
@@ -545,9 +552,9 @@ def _scores(cfg: PipelineConfig, model: ModelType,
     if cfg.pipeline == "signal":
         return centroid_distances(_features(cfg, root, paths), model, classes,
                                   cfg.metric, cfg.mink_p, cfg.tolerance)
-    spec = cfg.smoothing_spec()
-    return np.array([[-nlp.score_document(data, model[wc], spec)
-                      for wc in classes] for data in _contents(root, paths)])
+    return -nlp.score_documents(_contents(root, paths),
+                                [model[wc] for wc in classes],
+                                cfg.smoothing_spec())
 
 
 def _score_index(index: TestCaseIndex, model: ModelType, cfg: PipelineConfig,
@@ -613,9 +620,11 @@ def train_case(index: TestCaseIndex, cfg: PipelineConfig, root,
         return _train(labeled, cfg, _feature_rows(cfg, root, paths, jobs))
     models: dict[WeaknessClass, nlp.NGramModel] = {}
     for (_, classes), data in zip(labeled, _contents(root, paths)):
+        counted = nlp.ngram_counts(data, cfg.nlp_n)  # once per file
         for wc in classes:
-            models.setdefault(wc, nlp.NGramModel(
-                n=cfg.nlp_n, label=wc, vocab_size=cfg.vocab_size)).update(data)
+            model = models.setdefault(wc, nlp.NGramModel(
+                n=cfg.nlp_n, label=wc, vocab_size=cfg.vocab_size))
+            model.add_counts(*counted)
     return models
 
 

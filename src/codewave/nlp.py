@@ -5,14 +5,26 @@ summed log-probability of its n-grams under each model, and classes are
 ranked by that likelihood. The alphabet is raw bytes (V=256): "character"
 mode means byte mode here, which keeps compiled binaries scannable with the
 identical code path.
+
+Every n-gram is an integer code: its (n-1)-byte context read big-endian,
+times 256, plus its symbol (at most 24 bits). Counting and scoring are numpy
+passes over a document's codes. A model keeps its sorted distinct codes and
+their counts; `counts`/`totals` are dict views derived from them. Scoring
+looks each code up in a log-probability table, built once per smoothing with
+the scalar arithmetic of `probability` and `math.log`, and adds the values
+left to right with `np.cumsum`, so a score has the bits of the sequential sum
+of `math.log(p)`.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .classify import ResultSet, _pack_str, _unpack_str, by_id, rank
 from .errors import ConfigError, ModelFormatError
@@ -36,21 +48,43 @@ class SmoothingSpec:
             raise ValueError("delta must be > 0")
 
 
-@dataclass
+def ngram_codes(data: bytes, n: int) -> np.ndarray:
+    """The code of every sliding n-gram of `data`, in document order."""
+    symbols = np.frombuffer(data, dtype=np.uint8).astype(np.int64)
+    m = max(len(symbols) - n + 1, 0)
+    codes = symbols[:m]
+    for k in range(1, n):
+        codes = (codes << 8) + symbols[k: k + m]
+    return codes
+
+
+def ngram_counts(data: bytes, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(sorted distinct codes, their counts) of one document's n-grams."""
+    return np.unique(ngram_codes(data, n), return_counts=True)
+
+
+@dataclass(eq=False)
 class NGramModel:
-    """Counts of n-gram continuations, keyed by (n-1)-byte context."""
+    """Counts of n-gram continuations, keyed by (n-1)-byte context.
+
+    The counts are kept as sorted distinct n-gram codes and their counts
+    (`code_counts`); `counts` and `totals` are read-only dict views of them.
+    """
 
     n: int
     label: WeaknessClass | None = None
     vocab_size: int = 256
-    counts: dict[bytes, dict[int, int]] = field(default_factory=dict)
-    totals: dict[bytes, int] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.n not in (1, 2, 3):
             raise ValueError(f"n must be 1, 2 or 3, got {self.n}")
         if self.vocab_size < 1:
             raise ValueError("vocab_size must be positive")
+        self._codes = np.empty(0, dtype=np.int64)
+        self._code_counts = np.empty(0, dtype=np.int64)
+        self._pending: list[tuple[np.ndarray, np.ndarray]] = []
+        self._views = None
+        self._tables: dict[SmoothingSpec, _LogProbTable] = {}
 
     def update(self, data: bytes) -> None:
         """Add the sliding n-grams of one document to the counts.
@@ -58,16 +92,61 @@ class NGramModel:
         Documents shorter than n contribute nothing. N-grams never span
         document boundaries: call update once per file.
         """
-        n = self.n
-        for i in range(len(data) - n + 1):
-            ctx = bytes(data[i: i + n - 1])
-            sym = data[i + n - 1]
-            by_symbol = self.counts.setdefault(ctx, {})
-            by_symbol[sym] = by_symbol.get(sym, 0) + 1
-            self.totals[ctx] = self.totals.get(ctx, 0) + 1
+        self.add_counts(*ngram_counts(data, self.n))
+
+    def add_counts(self, codes: np.ndarray, counts: np.ndarray) -> None:
+        """Add counted n-gram codes (as from `ngram_counts`); merged into
+        the model's arrays on the next read, and every cached view and
+        log-prob table is dropped."""
+        if len(codes):
+            self._pending.append((codes, counts))
+            self._views = None
+            self._tables.clear()
+
+    def code_counts(self) -> tuple[np.ndarray, np.ndarray]:
+        """(sorted distinct codes, their counts) of everything added."""
+        if self._pending:
+            codes = np.concatenate([self._codes, *(c for c, _ in self._pending)])
+            counts = np.concatenate(
+                [self._code_counts, *(k for _, k in self._pending)])
+            self._pending = []
+            order = np.argsort(codes, kind="stable")
+            codes, counts = codes[order], counts[order]
+            starts = np.flatnonzero(np.diff(codes, prepend=-1))
+            self._codes = codes[starts]
+            self._code_counts = np.add.reduceat(counts, starts)
+        return self._codes, self._code_counts
+
+    def _dict_views(self) -> tuple[dict[bytes, dict[int, int]], dict[bytes, int]]:
+        if self._views is None:
+            counts: dict[bytes, dict[int, int]] = {}
+            codes, code_counts = self.code_counts()
+            for code, count in zip(codes.tolist(), code_counts.tolist()):
+                ctx = (code >> 8).to_bytes(self.n - 1, "big")
+                counts.setdefault(ctx, {})[code & 0xFF] = count
+            self._views = counts, {ctx: sum(by_symbol.values())
+                                   for ctx, by_symbol in counts.items()}
+        return self._views
+
+    @property
+    def counts(self) -> dict[bytes, dict[int, int]]:
+        """{context bytes: {symbol: count}}."""
+        return self._dict_views()[0]
+
+    @property
+    def totals(self) -> dict[bytes, int]:
+        """{context bytes: number of n-grams with that context}."""
+        return self._dict_views()[1]
 
     def is_empty(self) -> bool:
-        return not self.totals
+        return not len(self.code_counts()[0])
+
+    def log_prob_table(self, smoothing: SmoothingSpec) -> _LogProbTable:
+        """The model's log-prob table under `smoothing`, built on first use."""
+        table = self._tables.get(smoothing)
+        if table is None:
+            table = self._tables[smoothing] = _LogProbTable.build(self, smoothing)
+        return table
 
 
 def train_model(data: bytes, n: int, label: WeaknessClass | None = None,
@@ -75,6 +154,24 @@ def train_model(data: bytes, n: int, label: WeaknessClass | None = None,
     model = NGramModel(n=n, label=label, vocab_size=vocab_size)
     model.update(data)
     return model
+
+
+def _estimate(count: int, total: int, types: int, v: int,
+              smoothing: SmoothingSpec) -> float:
+    """p(symbol | context) from the symbol's count and its context's total
+    and number of distinct symbols; a total of 0 is an unseen context."""
+    if total == 0:
+        return 1.0 / v
+    kind = smoothing.kind
+    if kind == "mle":
+        return count / total
+    if kind == "add_delta":
+        return (count + smoothing.delta) / (total + smoothing.delta * v)
+    if v - types == 0:
+        return count / total
+    if count > 0:
+        return count / (total + types)
+    return types / ((total + types) * (v - types))
 
 
 def probability(model: NGramModel, context: bytes, symbol: int,
@@ -91,46 +188,114 @@ def probability(model: NGramModel, context: bytes, symbol: int,
         raise ConfigError(
             f"context length {len(context)} does not match n={model.n}")
     ctx = bytes(context)
-    v = model.vocab_size
-    total = model.totals.get(ctx, 0)
-    if total == 0:
-        return 1.0 / v
-    by_symbol = model.counts[ctx]
-    count = by_symbol.get(symbol, 0)
-    kind = smoothing.kind
-    if kind == "mle":
-        return count / total
-    if kind == "add_delta":
-        return (count + smoothing.delta) / (total + smoothing.delta * v)
-    types = len(by_symbol)
-    if v - types == 0:
-        return count / total
-    if count > 0:
-        return count / (total + types)
-    return types / ((total + types) * (v - types))
+    by_symbol = model.counts.get(ctx, {})
+    return _estimate(by_symbol.get(symbol, 0), model.totals.get(ctx, 0),
+                     len(by_symbol), model.vocab_size, smoothing)
 
 
-# TODO: cache a per-(model, smoothing) log-prob table for unigrams; scoring
-# is the slow half of NLP runs and the table is only 256 entries.
-def score_document(data: bytes, model: NGramModel,
-                   smoothing: SmoothingSpec) -> float:
-    """Natural-log likelihood of the document's n-grams; higher is better.
+def _log(p: float) -> float:
+    """math.log(p); -inf for p == 0, and NaN where math.log would raise (a
+    vocab_size below a context's distinct symbol count can make Witten-Bell's
+    unseen estimate negative)."""
+    if p > 0.0:
+        return math.log(p)
+    return -math.inf if p == 0.0 else math.nan
+
+
+def _find(keys: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Position of each key in the sorted non-empty `table`, and whether the
+    key is there."""
+    at = np.minimum(np.searchsorted(table, keys), len(table) - 1)
+    return at, table[at] == keys
+
+
+@dataclass(frozen=True)
+class _LogProbTable:
+    """log p of every n-gram code under one model and smoothing."""
+
+    pairs: np.ndarray          # sorted seen n-gram codes
+    pair_logp: np.ndarray
+    contexts: np.ndarray       # sorted seen context codes
+    unseen_logp: np.ndarray    # of a symbol unseen in that context
+    new_context_logp: float    # of any symbol in an unseen context
+
+    @classmethod
+    def build(cls, model: NGramModel, smoothing: SmoothingSpec) -> _LogProbTable:
+        codes, counts = model.code_counts()
+        v = model.vocab_size
+        contexts, starts, types = np.unique(
+            codes >> 8, return_index=True, return_counts=True)
+        totals = np.add.reduceat(counts, starts) if len(codes) else counts
+        pair_stats = zip(counts.tolist(), np.repeat(totals, types).tolist(),
+                         np.repeat(types, types).tolist())
+        # an empty model has seen no context, and MLE has no estimate in an
+        # unseen one: a document of one n-gram or more scores -inf
+        empty_mle = smoothing.kind == "mle" and not len(codes)
+        return cls(
+            pairs=codes,
+            pair_logp=np.array([_log(_estimate(count, total, k, v, smoothing))
+                                for count, total, k in pair_stats]),
+            contexts=contexts,
+            unseen_logp=np.array([_log(_estimate(0, total, k, v, smoothing))
+                                  for total, k in zip(totals.tolist(),
+                                                      types.tolist())]),
+            new_context_logp=-math.inf if empty_mle
+            else _log(_estimate(0, 0, 0, v, smoothing)))
+
+    def logp(self, codes: np.ndarray) -> np.ndarray:
+        """log p of each n-gram code (the searches are fastest on sorted
+        codes)."""
+        logp = np.full(len(codes), self.new_context_logp)
+        if len(self.contexts):
+            at, seen = _find(codes >> 8, self.contexts)
+            logp[seen] = self.unseen_logp[at[seen]]
+            at, seen = _find(codes, self.pairs)
+            logp[seen] = self.pair_logp[at[seen]]
+        return logp
+
+
+def _sequential_sum(logp: np.ndarray) -> float:
+    """The left-to-right sum of a loop of `score += math.log(p)`, which
+    stops at the first p <= 0: log 0 makes the score -inf, and math.log of
+    a negative p (NaN in the table) raises."""
+    if not len(logp):
+        return 0.0
+    score = float(np.cumsum(logp)[-1])
+    if math.isnan(score):
+        if logp[~np.isfinite(logp)][0] == -math.inf:
+            return -math.inf
+        raise ValueError("math domain error")
+    return score
+
+
+def score_documents(documents: Iterable[bytes], models: Sequence[NGramModel],
+                    smoothing: SmoothingSpec) -> np.ndarray:
+    """N x K natural-log likelihoods of each document under each model;
+    higher is better.
 
     MLE can hit zero-probability n-grams (and scores -inf on an untrained
-    model); the smoothed estimators always return a finite score.
+    model); the smoothed estimators always return a finite score. A document
+    shorter than n scores 0.0. Each model's table is searched once per
+    distinct n-gram of a document, and the values are summed in document
+    order.
     """
-    n = model.n
-    n_grams = len(data) - n + 1
-    if smoothing.kind == "mle" and model.is_empty() and n_grams > 0:
-        return -math.inf
-    score = 0.0
-    for i in range(n_grams):
-        p = probability(model, bytes(data[i: i + n - 1]), data[i + n - 1],
-                        smoothing)
-        if p == 0.0:
-            return -math.inf
-        score += math.log(p)
-    return score
+    tables = [model.log_prob_table(smoothing) for model in models]
+    rows = []
+    for data in documents:
+        grams = {n: np.unique(ngram_codes(data, n), return_inverse=True)
+                 for n in {model.n for model in models}}
+        row = []
+        for model, table in zip(models, tables):
+            distinct, inverse = grams[model.n]
+            row.append(_sequential_sum(table.logp(distinct)[inverse]))
+        rows.append(row)
+    return np.array(rows, dtype=np.float64).reshape(len(rows), len(models))
+
+
+def score_document(data: bytes, model: NGramModel,
+                   smoothing: SmoothingSpec) -> float:
+    """Natural-log likelihood of one document's n-grams; higher is better."""
+    return float(score_documents([data], [model], smoothing)[0, 0])
 
 
 def rank_models(data: bytes, models: dict[WeaknessClass, NGramModel],
@@ -143,8 +308,8 @@ def rank_models(data: bytes, models: dict[WeaknessClass, NGramModel],
     if not models:
         raise ConfigError("no trained language models")
     classes = by_id(models)
-    return ResultSet(rank(classes, [-score_document(data, models[wc], smoothing)
-                                    for wc in classes]))
+    scores = score_documents([data], [models[wc] for wc in classes], smoothing)
+    return ResultSet(rank(classes, -scores[0]))
 
 
 # --- persistence (same container family as CWTS; see docs/model-format.md) ---
@@ -195,17 +360,18 @@ def load_models(file) -> tuple[dict[WeaknessClass, NGramModel], str]:
         (n_contexts,) = struct.unpack_from("<I", buf, off)
         off += 4
         model = NGramModel(n=n, label=wc, vocab_size=vocab)
+        codes, counts = [], []
         for _ in range(n_contexts):
-            ctx = bytes(buf[off: off + n - 1])
+            ctx = int.from_bytes(buf[off: off + n - 1], "big")
             off += n - 1
             (n_symbols,) = struct.unpack_from("<I", buf, off)
             off += 4
-            by_symbol = {}
             for _ in range(n_symbols):
                 sym, count = struct.unpack_from("<BQ", buf, off)
                 off += 9
-                by_symbol[sym] = count
-            model.counts[ctx] = by_symbol
-            model.totals[ctx] = sum(by_symbol.values())
+                codes.append(ctx << 8 | sym)
+                counts.append(count)
+        model.add_counts(np.array(codes, dtype=np.int64),
+                         np.array(counts, dtype=np.int64))
         models[wc] = model
     return models, config_hash

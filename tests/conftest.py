@@ -1,4 +1,15 @@
+import os
+from pathlib import Path
+
 import pytest
+
+import codewave
+
+# tests start `python -m codewave.cli` children; they import the same
+# package as the test process, installed or not
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(codewave.__file__).resolve().parents[1]),
+                  os.environ.get("PYTHONPATH")]))
 
 _acceptance_results = []
 

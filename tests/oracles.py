@@ -2,10 +2,15 @@
 
 Everything here is deliberately written the dumb way (explicit transform
 matrices, plain loops) so it shares no code path with the implementations
-under test.
+under test. The one exception is `nlp.probability`, the scalar estimate that
+the table-driven n-gram scores are checked against.
 """
 
+import math
+
 import numpy as np
+
+from codewave.nlp import probability
 
 
 def naive_dft(x):
@@ -105,6 +110,24 @@ def brute_ngram_counts(data, n):
         sym = data[i + n - 1]
         counts.setdefault(ctx, {})[sym] = counts.get(ctx, {}).get(sym, 0) + 1
     return counts
+
+
+def sequential_score(data, model, smoothing):
+    """Natural-log likelihood of a document, the way the package summed it
+    before scoring went through log-prob tables: one `probability` call per
+    n-gram, added left to right, stopping at the first zero."""
+    n = model.n
+    n_grams = len(data) - n + 1
+    if smoothing.kind == "mle" and model.is_empty() and n_grams > 0:
+        return -math.inf
+    score = 0.0
+    for i in range(n_grams):
+        p = probability(model, bytes(data[i: i + n - 1]), data[i + n - 1],
+                        smoothing)
+        if p == 0.0:
+            return -math.inf
+        score += math.log(p)
+    return score
 
 
 def scalar_distance(a, b, metric, p=3.0, tol=1e-4):

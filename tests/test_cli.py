@@ -1,12 +1,16 @@
+import hashlib
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
 
 from codewave.cli import main
-from codewave.dnet import PENDING, StoreClient
+from codewave.dnet import PENDING, DemandStoreServer, StoreClient, run_worker
+from codewave.engine import parse_option_tokens
 from codewave.index import write_index
+from codewave.nlp import load_models
 from codewave.report import parse_sate_xml
 
 from .corpusgen import build_corpus
@@ -211,3 +215,56 @@ class TestServeWork:
         finally:
             proc.kill()
             proc.wait(timeout=10)
+
+
+class TestNlpReportPins:
+    """NLP outputs are pinned byte for byte: the saved model, and the
+    reports at --jobs 1 and 2 and through the demand store with one worker."""
+
+    # flags -> SHA-256 of the CWNM model, the report XML and the stats table
+    PINS = {
+        ("-cweid", "-nopreprep", "-char", "-bigram", "-witten-bell"): (
+            "4c36ad81b988f0d564675fb4c773ad6f10e2162fe2578b243c7f3d4cac4d2309",
+            "dde5ac0cc5c1cc89a86457a436d464cd80d4efba1cfb20319716e649bbe04a43",
+            "e1ef2c69542d1c8df3d46188091476279a778503973faeb477e800f944b575de"),
+        ("-cweid", "-nopreprep", "-char", "-trigram", "-mle"): (
+            "0175929365c966c1200ea4126437fbf488de1ce15f52f0eed43dcde12a119113",
+            "63c0df3f7a2cc54795ea2c7d4d4daa01b2d13049cf871f62a2357f4adefee5ac",
+            "6fd4abbdd21f670083f7a80eb774969a1e19b4d0611c1158562e38265ba3d278"),
+    }
+
+    @staticmethod
+    def digests(out):
+        return tuple(hashlib.sha256(next(out.glob(f"report-*.{ext}"))
+                                    .read_bytes()).hexdigest()
+                     for ext in ("xml", "txt"))
+
+    @pytest.mark.parametrize("flags", list(PINS))
+    def test_outputs_pinned(self, corpus, flags):
+        root, train_xml, test_xml, base = corpus
+        model = base / "model.cwnm"
+        assert run_cli(["train", "--index", train_xml, "--root", root,
+                        "--model", model, *flags]) == 0
+        model_digest, *report_digests = self.PINS[flags]
+        assert hashlib.sha256(model.read_bytes()).hexdigest() == model_digest
+        test_args = ["test", "--index", test_xml, "--root", root,
+                     "--model", model, *flags]
+        seen = {}
+        for jobs in (1, 2):
+            out = base / f"jobs{jobs}"
+            assert run_cli([*test_args, "--jobs", jobs, "--out", out]) == 0
+            seen[f"jobs{jobs}"] = self.digests(out)
+        models, _ = load_models(model)
+        cfg = parse_option_tokens(flags)
+        with DemandStoreServer() as server:
+            host, port = server.address
+            worker = threading.Thread(
+                target=run_worker, args=(host, port, models, cfg, root, "w0"),
+                kwargs={"idle_limit": 100, "poll_interval": 0.01}, daemon=True)
+            worker.start()
+            out = base / "store"
+            assert run_cli([*test_args, "--store", f"{host}:{port}",
+                            "--out", out]) == 0
+            worker.join(timeout=10)
+        seen["store"] = self.digests(out)
+        assert seen == dict.fromkeys(seen, tuple(report_digests))

@@ -3,8 +3,10 @@ import os
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from codewave.classify import TrainingSet
+from codewave.classify import METRICS, TrainingSet
 from codewave.engine import (PipelineConfig, ScanWarning, StatsRow,
                              calibrate_threshold, check_recall,
                              parse_option_string, parse_option_tokens,
@@ -15,10 +17,59 @@ from codewave.engine import test_case as classify_case
 from codewave.errors import ConfigError
 from codewave.index import IndexEntry, WeaknessClass
 from codewave.index import TestCaseIndex as CaseIndex
+from codewave.nlp import SMOOTHINGS
+from codewave.preprocess import SCALING
 
 CWE20 = WeaknessClass.cwe("CWE-20")
 CWE79 = WeaknessClass.cwe("CWE-79")
 CWE119 = WeaknessClass.cwe("CWE-119")
+
+
+def valid_configs():
+    """Every valid PipelineConfig that an option string can express: the
+    fields of the other pipeline and of unchosen flags keep their defaults."""
+    finite = dict(allow_nan=False, allow_infinity=False)
+
+    def one_of(*choices):
+        return st.one_of(*(st.fixed_dictionaries(c) for c in choices))
+
+    fft = st.integers(2, 4096).flatmap(lambda window: st.fixed_dictionaries({
+        "extractor": st.just("fft"), "fft_window": st.just(window),
+        "fft_bins": st.integers(1, window // 2)}))
+    signal = st.tuples(
+        st.fixed_dictionaries({"pipeline": st.just("signal"),
+                               "loader_ngram": st.sampled_from([1, 2, 3]),
+                               "cluster_kind": st.sampled_from(["mean", "median"])}),
+        one_of({"filter_kind": st.sampled_from(["raw", "norm"])},
+               {"filter_kind": st.just("low"),
+                "cutoff_fraction": st.floats(0, 1, exclude_min=True)},
+               {"filter_kind": st.just("sdwt"),
+                "wavelet_name": st.sampled_from(sorted(SCALING)),
+                "sdwt_levels": st.integers(1, 8)}),
+        st.one_of(fft, one_of({"extractor": st.just("lpc"),
+                               "lpc_order": st.integers(1, 64)},
+                              {"extractor": st.just("minmax"),
+                               "minmax_d": st.sampled_from([2, 4])})),
+        one_of({"metric": st.sampled_from(
+                    [m for m in METRICS if m not in ("mink", "hamming", "diff")])},
+               {"metric": st.just("mink"), "mink_p": st.floats(min_value=1, **finite)},
+               {"metric": st.sampled_from(["hamming", "diff"]),
+                "tolerance": st.floats(min_value=0, **finite)}))
+    nlp = st.tuples(
+        st.fixed_dictionaries({"pipeline": st.just("nlp"),
+                               "nlp_n": st.sampled_from([1, 2, 3])}),
+        one_of({"smoothing": st.sampled_from([k for k in SMOOTHINGS
+                                              if k != "add_delta"])},
+               {"smoothing": st.just("add_delta"),
+                "delta": st.floats(min_value=0, exclude_min=True, **finite)}))
+    common = st.fixed_dictionaries({
+        "class_kind": st.sampled_from(["cve", "cwe"]),
+        "threshold": st.one_of(st.just(math.inf),
+                               st.floats(min_value=0, **finite)),
+        **{flag: st.booleans() for flag in ("flucid", "spectrogram", "graph")}})
+    return st.builds(lambda parts, extra: PipelineConfig(
+        **{k: v for part in parts for k, v in part.items()}, **extra),
+        st.one_of(signal, nlp), common)
 
 
 class TestOptionStrings:
@@ -109,6 +160,28 @@ class TestOptionStrings:
     def test_config_hash_pinned(self, text, digest):
         # saved models embed this hash; changing it orphans every model
         assert parse_option_string(text).config_hash == digest
+
+    @pytest.mark.parametrize("text", [
+        "-nopreprep -low=0.1234561 -fft -cheb",
+        "-nopreprep -raw -fft -mink=3.0000001",
+        "-nopreprep -raw -fft -hamming=1.0000001e-06",
+        "-cweid -nopreprep -char -unigram -add-delta=0.12345678",
+        "-nopreprep -raw -fft -cheb -threshold=0.30000000000000004",
+    ])
+    def test_parameters_past_six_digits_survive(self, text):
+        cfg = parse_option_string(text)
+        assert cfg.option_string == text
+        assert parse_option_string(cfg.option_string) == cfg
+
+    def test_config_hash_tells_close_cutoffs_apart(self):
+        a = parse_option_string("-nopreprep -low=0.1234561 -fft -cheb")
+        b = parse_option_string("-nopreprep -low=0.1234562 -fft -cheb")
+        assert a.config_hash != b.config_hash
+
+    @settings(deadline=None, max_examples=300)
+    @given(cfg=valid_configs())
+    def test_option_string_roundtrip(self, cfg):
+        assert parse_option_string(cfg.option_string) == cfg
 
     @pytest.mark.parametrize("text", [
         "-fft=0", "-fft=1", "-fft=64:33", "-fft=64:0", "-lpc=0", "-minmax=3",

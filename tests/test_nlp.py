@@ -1,13 +1,17 @@
 import math
+import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codewave.errors import ConfigError, ModelFormatError
 from codewave.index import WeaknessClass
-from codewave.nlp import (NGramModel, SmoothingSpec, load_models, probability,
-                          rank_models, save_models, score_document, train_model)
+from codewave.nlp import (NGramModel, SmoothingSpec, load_models, ngram_counts,
+                          probability, rank_models, save_models, score_document,
+                          score_documents, train_model)
 
-from .oracles import brute_ngram_counts
+from .oracles import brute_ngram_counts, sequential_score
 
 MLE = SmoothingSpec("mle")
 ADD1 = SmoothingSpec("add_delta", 1.0)
@@ -155,6 +159,135 @@ class TestScoring:
                 for sym in range(0, 256, 17):
                     p = probability(model, ctx, sym, spec)
                     assert 0.0 <= p <= 1.0
+
+
+SPECS = [MLE, ADD1, SmoothingSpec("add_delta", 0.37), WB]
+
+# short texts over a small alphabet, so that n-grams repeat and get seen
+texts = st.one_of(st.binary(max_size=40),
+                  st.lists(st.sampled_from(b"ab\x00\xff"), max_size=40).map(bytes))
+
+
+def outcome(fn, *args):
+    """The score's bits, or the name of the error it raised."""
+    try:
+        return struct.pack("<d", fn(*args))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def trained(n, documents, vocab_size=256):
+    model = NGramModel(n=n, vocab_size=vocab_size)
+    for data in documents:
+        model.update(data)
+    return model
+
+
+class TestBatchScoring:
+    """Table-driven scores equal the sequential oracle bit for bit."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(n=st.sampled_from([1, 2, 3]), spec=st.sampled_from(SPECS),
+           vocab_size=st.sampled_from([256, 200, 3]),
+           training=st.lists(st.lists(texts, max_size=3), min_size=1, max_size=3),
+           documents=st.lists(texts, max_size=4))
+    def test_matrix_equals_sequential_sum(self, n, spec, vocab_size,
+                                          training, documents):
+        models = [trained(n, docs, vocab_size) for docs in training]
+        expected = [[outcome(sequential_score, data, model, spec)
+                     for model in models] for data in documents]
+        if any(isinstance(cell, str) for row in expected for cell in row):
+            # too small a vocabulary for what was seen: a negative estimate
+            for data, row in zip(documents, expected):
+                assert [outcome(score_document, data, model, spec)
+                        for model in models] == row
+            return
+        matrix = score_documents(documents, models, spec)
+        assert matrix.shape == (len(documents), len(models))
+        assert [[struct.pack("<d", x) for x in row] for row in matrix] == expected
+
+    @pytest.mark.parametrize("spec", SPECS)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_edge_documents(self, n, spec):
+        # empty, shorter than n, and unseen symbols, on a trained and an
+        # empty model
+        for model in (train_model(b"abcabcab", n), NGramModel(n=n)):
+            for data in (b"", b"a", b"ab", b"abc", b"zzzz"):
+                assert outcome(score_document, data, model, spec) == \
+                    outcome(sequential_score, data, model, spec)
+
+    def test_mle_unseen_symbol_and_empty_model(self):
+        assert score_document(b"aab", train_model(b"aaaa", 2), MLE) == -math.inf
+        assert score_document(b"ab", NGramModel(n=2), MLE) == -math.inf
+        assert score_document(b"a", NGramModel(n=2), MLE) == 0.0
+
+    @pytest.mark.parametrize("n, text", [
+        (1, bytes(range(256)) * 3 + b"\x07\x07"),
+        # context 7 is followed by every symbol, the others by 7 alone
+        (2, b"".join(bytes([7, s]) for s in range(256)))],
+        ids=["unigram", "bigram"])
+    def test_saturated_witten_bell_context(self, n, text):
+        model = train_model(text, n)
+        assert len(model.counts[b"\x07"[:n - 1]]) == 256
+        data = bytes(range(255, -1, -1)) * 2 + bytes([7, 7, 7, 9])
+        assert outcome(score_document, data, model, WB) == \
+            outcome(sequential_score, data, model, WB)
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_small_vocabulary(self, spec):
+        model = train_model(bytes([0, 1, 2, 1, 0, 3]), 1, vocab_size=16)
+        data = bytes([3, 2, 1, 0, 9, 15])
+        assert outcome(score_document, data, model, spec) == \
+            outcome(sequential_score, data, model, spec)
+
+    def test_vocabulary_below_seen_symbols_raises_like_the_oracle(self):
+        # Witten-Bell's unseen estimate goes negative when T > V
+        model = train_model(b"abcd", 1, vocab_size=2)
+        assert outcome(score_document, b"az", model, WB) == \
+            outcome(sequential_score, b"az", model, WB) == \
+            "ValueError: math domain error"
+
+    def test_mixed_n_models(self):
+        models = [train_model(b"abcab", n) for n in (1, 2, 3)]
+        data = b"abcabd"
+        row = score_documents([data], models, ADD1)[0]
+        assert list(row) == [sequential_score(data, m, ADD1) for m in models]
+
+    def test_table_is_rebuilt_after_update(self):
+        model = train_model(b"abab", 2)
+        before = score_document(b"abcb", model, WB)
+        model.update(b"cbcb")
+        after = score_document(b"abcb", model, WB)
+        assert after != before
+        assert after == sequential_score(b"abcb", model, WB)
+        assert before == sequential_score(b"abcb", train_model(b"abab", 2), WB)
+
+
+class TestVectorizedCounts:
+    @settings(deadline=None, max_examples=100)
+    @given(n=st.sampled_from([1, 2, 3]), documents=st.lists(texts, max_size=4))
+    def test_counts_equal_brute_force(self, n, documents):
+        expected = {}
+        for data in documents:
+            for ctx, by_symbol in brute_ngram_counts(data, n).items():
+                for sym, count in by_symbol.items():
+                    into = expected.setdefault(ctx, {})
+                    into[sym] = into.get(sym, 0) + count
+        model = trained(n, documents)
+        assert model.counts == expected
+        assert model.totals == {ctx: sum(by_symbol.values())
+                                for ctx, by_symbol in expected.items()}
+        assert model.is_empty() == (not expected)
+
+    @given(n=st.sampled_from([1, 2, 3]), data=texts)
+    def test_document_counts(self, n, data):
+        codes, counts = ngram_counts(data, n)
+        assert list(codes) == sorted(set(codes.tolist()))
+        brute = brute_ngram_counts(data, n)
+        assert dict(zip(codes.tolist(), counts.tolist())) == {
+            int.from_bytes(ctx, "big") << 8 | sym: count
+            for ctx, by_symbol in brute.items()
+            for sym, count in by_symbol.items()}
 
 
 class TestPersistence:
