@@ -3,7 +3,10 @@
 Three extractors: averaged FFT magnitude spectrum, linear-prediction
 coefficients, and min-max summary statistics. Whatever the input length
 (including zero), each extractor returns exactly `d` finite values, so
-vectors from different files are always comparable.
+vectors from different files are always comparable. Each extractor works on
+a 2-D array of equal-length signals, one per row (`fft_features`,
+`lpc_features`, `minmax_features`); the `extract_*` functions are their
+one-row forms.
 """
 
 from __future__ import annotations
@@ -32,31 +35,43 @@ class FeatureVector:
 
 
 def extract_fft(signal: Signal, window: int = 1024, d: int = 512) -> FeatureVector:
-    """Mean magnitude spectrum over non-overlapping windows.
+    """Mean magnitude spectrum over non-overlapping windows: the one-row
+    form of `fft_features`."""
+    return FeatureVector(fft_features(signal.samples[np.newaxis], window, d)[0],
+                         "fft")
 
-    The signal is cut into windows of `window` samples (the last one
-    zero-padded; an empty signal counts as one all-zero window), each is
-    transformed, and the first `d` of the lower window/2 magnitude bins are
-    averaged element-wise across windows.
+
+def fft_features(rows: np.ndarray, window: int = 1024, d: int = 512) -> np.ndarray:
+    """Mean magnitude spectrum over non-overlapping windows, per row.
+
+    Each row of a 2-D array of equal-length signals is cut into windows of
+    `window` samples (the last one zero-padded; an empty signal counts as
+    one all-zero window), each is transformed, and the first `d` of the
+    lower window/2 magnitude bins are averaged element-wise across windows.
     """
     if d > window // 2:
         raise ConfigError(f"d={d} exceeds window/2={window // 2}")
-    x = signal.samples
-    n_windows = max(1, -(-len(x) // window))
-    padded = np.zeros(n_windows * window, dtype=np.float64)
-    padded[: len(x)] = x
-    frames = padded.reshape(n_windows, window)
-    magnitudes = np.abs(np.fft.rfft(frames, axis=1))[:, : window // 2]
-    return FeatureVector(magnitudes.mean(axis=0)[:d], "fft")
+    count, n = rows.shape
+    n_windows = max(1, -(-n // window))
+    padded = np.zeros((count, n_windows * window), dtype=np.float64)
+    padded[:, :n] = rows
+    frames = padded.reshape(count, n_windows, window)
+    return np.abs(np.fft.rfft(frames, axis=2)[:, :, :d]).mean(axis=1)
 
 
 def autocorrelation(x: np.ndarray, max_lag: int) -> np.ndarray:
-    """Autocorrelation lags 0..max_lag of the whole signal (unnormalized)."""
+    """Autocorrelation lags 0..max_lag of the whole signal (unnormalized),
+    along the last axis.
+
+    Each lag is the dot product np.dot takes of two vectors: a stack of
+    1 x m by m x 1 products goes to the same BLAS routine, row by row.
+    """
     x = np.asarray(x, dtype=np.float64)
-    n = len(x)
-    r = np.zeros(max_lag + 1, dtype=np.float64)
+    n = x.shape[-1]
+    r = np.zeros(x.shape[:-1] + (max_lag + 1,), dtype=np.float64)
     for lag in range(min(max_lag + 1, n)):
-        r[lag] = np.dot(x[: n - lag], x[lag:])
+        r[..., lag] = np.matmul(x[..., np.newaxis, : n - lag],
+                                x[..., lag:, np.newaxis])[..., 0, 0]
     return r
 
 
@@ -93,26 +108,50 @@ def levinson_durbin(r: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def extract_lpc(signal: Signal, order: int = 20, d: int | None = None) -> FeatureVector:
-    """Linear-prediction coefficients by the autocorrelation method."""
-    if order < 1:
-        raise ConfigError("lpc order must be >= 1")
+    """Linear-prediction coefficients by the autocorrelation method: the
+    one-row form of `lpc_features`, zero-padded or cut to `d` values."""
+    a = lpc_features(signal.samples[np.newaxis], order)[0]
     if d is None:
         d = order
-    r = autocorrelation(signal.samples, order)
-    a, _ = levinson_durbin(r, order)
     values = np.zeros(d, dtype=np.float64)
     values[: min(d, order)] = a[: min(d, order)]
     return FeatureVector(values, "lpc")
 
 
+def lpc_features(rows: np.ndarray, order: int = 20,
+                 stride2: np.ndarray | None = None) -> np.ndarray:
+    """Linear-prediction coefficients of each row by the autocorrelation
+    method: one autocorrelation over all rows, one recursion per row.
+
+    Rows marked in `stride2` are correlated as stride-2 vectors, the layout
+    their one-row form had (see `preprocess.preprocess_rows`).
+    """
+    if order < 1:
+        raise ConfigError("lpc order must be >= 1")
+    r = autocorrelation(rows, order)
+    if stride2 is not None and stride2.any():
+        spread = np.empty((int(stride2.sum()), 2 * rows.shape[1]))
+        spread[:, ::2] = rows[stride2]
+        r[stride2] = autocorrelation(spread[:, ::2], order)
+    return np.array([levinson_durbin(lags, order)[0] for lags in r]
+                    ).reshape(len(rows), order)
+
+
 def extract_minmax(signal: Signal, d: int = 4) -> FeatureVector:
-    """[min, max] for d=2, [min, max, mean, rms] for d=4; zeros when empty."""
+    """[min, max] for d=2, [min, max, mean, rms] for d=4; zeros when empty:
+    the one-row form of `minmax_features`."""
+    return FeatureVector(minmax_features(signal.samples[np.newaxis], d)[0],
+                         "minmax")
+
+
+def minmax_features(rows: np.ndarray, d: int = 4) -> np.ndarray:
+    """[min, max] for d=2, [min, max, mean, rms] for d=4 of each row of a
+    2-D array; zeros for rows of length 0."""
     if d not in (2, 4):
         raise ConfigError("minmax supports d=2 or d=4")
-    x = signal.samples
-    if len(x) == 0:
-        return FeatureVector(np.zeros(d), "minmax")
-    stats = [float(np.min(x)), float(np.max(x))]
+    if rows.shape[1] == 0:
+        return np.zeros((len(rows), d))
+    stats = [rows.min(axis=1), rows.max(axis=1)]
     if d == 4:
-        stats += [float(np.mean(x)), float(np.sqrt(np.mean(x * x)))]
-    return FeatureVector(np.array(stats), "minmax")
+        stats += [rows.mean(axis=1), np.sqrt((rows * rows).mean(axis=1))]
+    return np.stack(stats, axis=1)

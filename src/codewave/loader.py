@@ -8,20 +8,15 @@ pure function of content.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-
-DEFAULT_RATE = 8000  # informational only; used for spectrogram axis labels
 
 
 @dataclass
 class Signal:
     samples: np.ndarray  # float64 in [-1, 1]
-    source: str = ""
-    ngram: int = 2
-    nominal_rate: int = DEFAULT_RATE
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -53,17 +48,20 @@ def samples_from_bytes(data: bytes, ngram: int) -> np.ndarray:
     return packed.astype(np.float64) / float(1 << 23)
 
 
-def load_signal(file, ngram: int = 2, nominal_rate: int = DEFAULT_RATE) -> Signal:
-    data = Path(file).read_bytes()
-    return Signal(samples_from_bytes(data, ngram), source=str(file),
-                  ngram=ngram, nominal_rate=nominal_rate)
+def load_signal(file, ngram: int = 2) -> Signal:
+    return Signal(samples_from_bytes(Path(file).read_bytes(), ngram))
 
 
 def normalize(signal: Signal) -> Signal:
     """Scale peak amplitude to 1. All-zero and empty signals pass through."""
-    if len(signal.samples) == 0:
-        return replace(signal, samples=signal.samples.copy())
-    peak = np.max(np.abs(signal.samples))
-    if peak == 0.0:
-        return replace(signal, samples=signal.samples.copy())
-    return replace(signal, samples=signal.samples / peak)
+    return Signal(peak_normalize(signal.samples[np.newaxis])[0])
+
+
+def peak_normalize(rows: np.ndarray) -> np.ndarray:
+    """Scale each row of a 2-D array to peak amplitude 1; all-zero rows
+    and rows of length 0 pass through. Returns a new array."""
+    if rows.shape[1] == 0:
+        return rows.copy()
+    peak = np.max(np.abs(rows), axis=1, keepdims=True)
+    # dividing by 1.0 leaves an all-zero row's bits as they are
+    return rows / np.where(peak == 0.0, 1.0, peak)

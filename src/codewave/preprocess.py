@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .loader import Signal, normalize
+from .loader import Signal, peak_normalize
 
 SQRT2 = math.sqrt(2.0)
 _SQRT3 = math.sqrt(3.0)
@@ -81,23 +81,24 @@ def fft_low_pass(samples, cutoff_fraction: float) -> np.ndarray:
     floor(cutoff_fraction * N/2) are zeroed along with their mirror images,
     and the inverse transform is truncated to the original length. The
     leftover imaginary part (rounding noise well below 1e-9) is discarded.
+    Works along the last axis, so a 2-D array is filtered row by row.
     """
     x = np.asarray(samples, dtype=np.float64)
     if not 0.0 < cutoff_fraction <= 1.0:
         raise ValueError("cutoff_fraction must be in (0, 1]")
-    n = len(x)
+    n = x.shape[-1]
     if n == 0:
         return x.copy()
     size = 1 << max(0, (n - 1)).bit_length()
-    spectrum = np.fft.fft(x, size)
+    spectrum = np.fft.fft(x, size, axis=-1)
     cut = int(cutoff_fraction * (size // 2) + 1e-9)
     k = np.arange(size)
-    spectrum[(k > cut) & (k < size - cut)] = 0.0
-    return np.fft.ifft(spectrum)[:n].real
+    spectrum[..., (k > cut) & (k < size - cut)] = 0.0
+    return np.fft.ifft(spectrum, axis=-1)[..., :n].real
 
 
 def conv_full(samples, fir) -> np.ndarray:
-    """Full convolution with a pinned summation order.
+    """Full convolution with a pinned summation order, along the last axis.
 
     Each output accumulates its tap contributions in ascending tap index,
     so results are bit-reproducible against any reference that sums the
@@ -105,10 +106,20 @@ def conv_full(samples, fir) -> np.ndarray:
     """
     x = np.asarray(samples, dtype=np.float64)
     h = np.asarray(fir, dtype=np.float64)
-    out = np.zeros(len(x) + len(h) - 1, dtype=np.float64)
+    n = x.shape[-1]
+    out = np.zeros(x.shape[:-1] + (n + len(h) - 1,), dtype=np.float64)
     for j, tap in enumerate(h):
-        out[j: j + len(x)] += tap * x
+        out[..., j: j + n] += tap * x
     return out
+
+
+def _analysis(x: np.ndarray, fir) -> np.ndarray:
+    """One filter branch of a level: mirror-extend, convolve, decimate."""
+    n = x.shape[-1]
+    pad = len(fir) - 1
+    if pad:
+        x = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(pad, pad)], mode="symmetric")
+    return conv_full(x, fir)[..., 2 * pad: 2 * pad + n][..., 0::2]
 
 
 def dwt_level(samples, spec: WaveletSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -118,13 +129,10 @@ def dwt_level(samples, spec: WaveletSpec) -> tuple[np.ndarray, np.ndarray]:
     symmetrically by one filter length minus one on each side so the
     convolution has no zero-padding edge spikes; even-indexed samples of the
     part aligned with the input survive decimation, giving ceil(n/2) outputs.
+    Works along the last axis.
     """
     x = np.asarray(samples, dtype=np.float64)
-    pad = len(spec.low_pass) - 1
-    ext = np.pad(x, pad, mode="symmetric") if pad else x
-    lo = conv_full(ext, spec.low_pass)[2 * pad: 2 * pad + len(x)]
-    hi = conv_full(ext, spec.high_pass)[2 * pad: 2 * pad + len(x)]
-    return lo[0::2], hi[0::2]
+    return _analysis(x, spec.low_pass), _analysis(x, spec.high_pass)
 
 
 def sdwt(samples, spec: WaveletSpec, levels: int = 1) -> np.ndarray:
@@ -132,21 +140,23 @@ def sdwt(samples, spec: WaveletSpec, levels: int = 1) -> np.ndarray:
 
     Each level halves the length; `levels` levels leave about n / 2^levels
     samples of low-frequency content. A signal shorter than the filter is
-    returned unchanged under a ShortSignalWarning rather than erroring,
-    so batch scans over mixed file sizes keep going.
+    returned unchanged under a ShortSignalWarning (one per row of a 2-D
+    array of equal-length signals) rather than erroring, so batch scans
+    over mixed file sizes keep going.
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
     x = np.asarray(samples, dtype=np.float64)
     for _ in range(levels):
-        if len(x) < len(spec.low_pass):
-            warnings.warn(
-                f"signal of {len(x)} samples is shorter than the "
-                f"{len(spec.low_pass)}-tap {spec.name} filter; left unchanged",
-                ShortSignalWarning,
-            )
+        if x.shape[-1] < len(spec.low_pass):
+            for _ in range(math.prod(x.shape[:-1])):
+                warnings.warn(
+                    f"signal of {x.shape[-1]} samples is shorter than the "
+                    f"{len(spec.low_pass)}-tap {spec.name} filter; left unchanged",
+                    ShortSignalWarning,
+                )
             return x.copy() if x is samples else x
-        x, _ = dwt_level(x, spec)
+        x = _analysis(x, spec.low_pass)
     return x
 
 
@@ -170,25 +180,47 @@ def upfirdn(samples, fir, up: int = 1, down: int = 1) -> np.ndarray:
 
 
 def preprocess(signal: Signal, spec: FilterSpec) -> Signal:
-    """Apply one FilterSpec to a signal, keeping amplitudes inside [-1, 1].
+    """Apply one FilterSpec to a signal: the one-row form of
+    `preprocess_rows`."""
+    out, _ = preprocess_rows(signal.samples[np.newaxis], spec)
+    return Signal(out[0])
+
+
+def preprocess_rows(rows: np.ndarray, spec: FilterSpec
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Apply one FilterSpec to each row of a 2-D array of equal-length
+    signals, keeping amplitudes inside [-1, 1]. Returns a new array whose
+    rows equal the one-row form's, and a mask of the rows that the one-row
+    form returns as a stride-2 view while the block holds them contiguously.
 
     Filters can push samples past full scale (the wavelet low-pass has gain
-    sqrt(2) per level); anything beyond a 1e-12 rounding slack is brought
-    back by re-normalizing, a bare rounding excess is clipped.
+    sqrt(2) per level); in a row whose peak is beyond a 1e-12 rounding slack
+    the row is re-normalized, a bare rounding excess is clipped.
+
+    The low-pass and wavelet filters leave each signal as every other
+    element of a larger array, and the one-row form keeps that view unless
+    the fit above rescales the signal into a new array. A block holds only
+    one layout, so when the fit rescales some of its rows, the others are
+    marked: BLAS dot products sum a stride-2 vector in another order than a
+    contiguous one.
     """
+    if spec.kind == "norm":
+        return peak_normalize(rows), np.zeros(len(rows), dtype=bool)
     if spec.kind == "raw":
-        out = signal.samples.copy()
-    elif spec.kind == "norm":
-        return normalize(signal)
+        out = rows.copy()
     elif spec.kind == "fft_low":
-        out = fft_low_pass(signal.samples, spec.cutoff_fraction)
+        out = fft_low_pass(rows, spec.cutoff_fraction)
     else:
-        out = sdwt(signal.samples, spec.wavelet, spec.levels)
-    if out.size:
-        peak = float(np.max(np.abs(out)))
-        if peak > 1.0:
-            if peak - 1.0 < 1e-12:
-                out = np.clip(out, -1.0, 1.0)
-            else:
-                out = out / peak
-    return replace(signal, samples=out)
+        out = sdwt(rows, spec.wavelet, spec.levels)
+    stride2 = np.zeros(len(rows), dtype=bool)
+    if out.shape[1]:
+        peak = np.max(np.abs(out), axis=1)
+        over = peak > 1.0
+        if over.any():
+            clip = over & (peak - 1.0 < 1e-12)
+            if out.strides[1] != out.itemsize:
+                stride2 = ~over
+            # dividing by 1.0 leaves a row's bits as they are
+            out = out / np.where(over & ~clip, peak, 1.0)[:, np.newaxis]
+            out[clip] = np.clip(out[clip], -1.0, 1.0)
+    return out, stride2

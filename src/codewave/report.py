@@ -67,19 +67,29 @@ def export_sate_xml(warnings: Iterable[ScanWarning], meta: CaseMeta,
         f" version={quoteattr(meta.case_version)}"
         f" config={quoteattr(meta.config)}>"
     )
+    quoted: dict[str, str] = {}
+
+    def attr(value: str) -> str:
+        """quoteattr, once per distinct value in the report."""
+        text = quoted.get(value)
+        if text is None:
+            text = quoted[value] = quoteattr(value)
+        return text
+
     for w in _ordered(warnings):
+        # fixed-notation numbers hold nothing that needs escaping
         lines.append(
             f"  <warning path={quoteattr(w.path)}"
-            f" score={quoteattr(_score_text(w.score))}"
-            f" rank={quoteattr(str(w.rank))}>"
+            f' score="{_score_text(w.score)}"'
+            f" rank={attr(str(w.rank))}>"
         )
         lines.append(
-            f"    <class kind={quoteattr(w.weakness.kind)}"
-            f" id={quoteattr(w.weakness.id)}/>")
+            f"    <class kind={attr(w.weakness.kind)}"
+            f" id={attr(w.weakness.id)}/>")
         if w.second_guess is not None:
             lines.append(
-                f"    <second kind={quoteattr(w.second_guess.kind)}"
-                f" id={quoteattr(w.second_guess.id)}/>")
+                f"    <second kind={attr(w.second_guess.kind)}"
+                f" id={attr(w.second_guess.id)}/>")
         lines.append("  </warning>")
     lines.append("</report>")
     return "\n".join(lines) + "\n"

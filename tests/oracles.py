@@ -152,3 +152,108 @@ def scalar_distance(a, b, metric, p=3.0, tol=1e-4):
     if metric == "diff":
         return float(np.sum(delta[delta > tol]))
     raise ValueError(metric)
+
+
+def feature_row(data, loader_ngram, spec, extractor, fft_window=1024,
+                fft_bins=512, lpc_order=20, minmax_d=4):
+    """One file's feature row the way the package computed it before files
+    were processed in blocks: bytes -> samples -> preprocess -> extract, one
+    file at a time. `spec` is a FilterSpec; `extractor` is fft, lpc or
+    minmax. A frozen copy of that per-file code, so it shares nothing with
+    the block path it is compared against."""
+    raw = np.frombuffer(data, dtype=np.uint8)
+    if len(raw) < loader_ngram:
+        x = np.zeros(0, dtype=np.float64)
+    elif loader_ngram == 1:
+        x = raw.view(np.int8).astype(np.float64) / 128.0
+    elif loader_ngram == 2:
+        packed = (raw[:-1].astype(np.uint16) << 8) | raw[1:]
+        x = packed.view(np.int16).astype(np.float64) / 32768.0
+    else:
+        packed = ((raw[:-2].astype(np.int64) << 16)
+                  | (raw[1:-1].astype(np.int64) << 8) | raw[2:])
+        packed -= (packed >= 1 << 23) * (1 << 24)
+        x = packed.astype(np.float64) / float(1 << 23)
+    x = _old_preprocess(x, spec)
+    if extractor == "fft":
+        n_windows = max(1, -(-len(x) // fft_window))
+        padded = np.zeros(n_windows * fft_window, dtype=np.float64)
+        padded[: len(x)] = x
+        frames = padded.reshape(n_windows, fft_window)
+        magnitudes = np.abs(np.fft.rfft(frames, axis=1))[:, : fft_window // 2]
+        return magnitudes.mean(axis=0)[:fft_bins]
+    if extractor == "lpc":
+        n = len(x)
+        r = np.zeros(lpc_order + 1, dtype=np.float64)
+        for lag in range(min(lpc_order + 1, n)):
+            r[lag] = np.dot(x[: n - lag], x[lag:])
+        return _old_levinson_durbin(r, lpc_order)
+    if len(x) == 0:
+        return np.zeros(minmax_d)
+    stats = [float(np.min(x)), float(np.max(x))]
+    if minmax_d == 4:
+        stats += [float(np.mean(x)), float(np.sqrt(np.mean(x * x)))]
+    return np.array(stats)
+
+
+def _old_preprocess(x, spec):
+    if spec.kind == "norm":
+        if len(x) == 0:
+            return x.copy()
+        peak = np.max(np.abs(x))
+        return x.copy() if peak == 0.0 else x / peak
+    if spec.kind == "raw":
+        out = x.copy()
+    elif spec.kind == "fft_low":
+        out = x.copy()
+        n = len(x)
+        if n:
+            size = 1 << max(0, (n - 1)).bit_length()
+            spectrum = np.fft.fft(x, size)
+            cut = int(spec.cutoff_fraction * (size // 2) + 1e-9)
+            k = np.arange(size)
+            spectrum[(k > cut) & (k < size - cut)] = 0.0
+            out = np.fft.ifft(spectrum)[:n].real
+    else:
+        out = x
+        low, high = spec.wavelet.low_pass, spec.wavelet.high_pass
+        for _ in range(spec.levels):
+            if len(out) < len(low):
+                break
+            out = _old_dwt_low(out, low)
+    if out.size:
+        peak = float(np.max(np.abs(out)))
+        if peak > 1.0:
+            if peak - 1.0 < 1e-12:
+                out = np.clip(out, -1.0, 1.0)
+            else:
+                out = out / peak
+    return out
+
+
+def _old_dwt_low(x, low):
+    pad = len(low) - 1
+    ext = np.pad(x, pad, mode="symmetric") if pad else x
+    h = np.asarray(low, dtype=np.float64)
+    full = np.zeros(len(ext) + len(h) - 1, dtype=np.float64)
+    for j, tap in enumerate(h):
+        full[j: j + len(ext)] += tap * ext
+    return full[2 * pad: 2 * pad + len(x)][0::2]
+
+
+def _old_levinson_durbin(r, order):
+    a = np.zeros(order, dtype=np.float64)
+    if r[0] == 0.0:
+        return a
+    poly = np.zeros(order + 1, dtype=np.float64)
+    poly[0] = 1.0
+    err = r[0]
+    for m in range(1, order + 1):
+        acc = r[m] + np.dot(poly[1:m], r[m - 1:0:-1])
+        if err == 0.0:
+            break
+        ref = -acc / err
+        poly[1:m + 1] += ref * poly[m - 1::-1][:m]
+        err *= 1.0 - ref * ref
+    a[:] = -poly[1:]
+    return a

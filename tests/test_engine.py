@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from codewave import engine
 from codewave.classify import METRICS, TrainingSet
 from codewave.engine import (PipelineConfig, ScanWarning, StatsRow,
                              calibrate_threshold, check_recall,
@@ -492,6 +493,25 @@ class TestJobsInvariance:
         assert [e.error is None for e in entries] == [True, False, False]
         assert entries[1].error == entries[2].error
         assert "no cve classes" in entries[1].error
+
+    @pytest.mark.parametrize("cfg", SMALL_GRID[-2:], ids=lambda c: c.smoothing)
+    def test_nlp_tables_built_before_the_fork(self, tiny_corpus, monkeypatch, cfg):
+        """Forked children inherit the log-prob tables instead of each
+        building them again; the report is the serial one."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        root, index = tiny_corpus
+        train, test = overlapping_indexes(index)
+        serial = classify_case(test, train_case(train, cfg, root), cfg, root, jobs=1)
+        models = train_case(train, cfg, root)
+        built = []
+
+        def fork_map(fn, items, jobs):
+            built.append(all(cfg.smoothing_spec() in model._tables
+                             for model in models.values()))
+            return _fork_map(fn, items, jobs)
+        monkeypatch.setattr(engine, "_fork_map", fork_map)
+        assert repr(classify_case(test, models, cfg, root, jobs=2)) == repr(serial)
+        assert built == [True]
 
 
 class TestForkMap:

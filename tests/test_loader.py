@@ -72,10 +72,11 @@ class TestLoadSignal:
     def test_metadata(self, tmp_path):
         f = tmp_path / "x.bin"
         f.write_bytes(b"abcd")
-        sig = load_signal(f, 1)
-        assert sig.ngram == 1
-        assert sig.nominal_rate == 8000
-        assert sig.source == str(f)
+        # a signal carries only its samples; the n-gram width shows in them
+        assert load_signal(f, 1).samples.tolist() == \
+            samples_from_bytes(b"abcd", 1).tolist()
+        assert len(load_signal(f, 1)) == 4
+        assert len(load_signal(f, 3)) == 2
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
