@@ -506,29 +506,79 @@ def _contents(root, paths: Iterable[str]) -> Iterable[bytes]:
     return ((Path(root) / path).read_bytes() for path in paths)
 
 
-def _fork_map(fn, items: list, jobs: int) -> list:
-    """Apply `fn` to contiguous chunks of `items`, one chunk per job, and
-    return the chunk results in order.
+def _move_to_cpu(k: int) -> None:
+    """Migrate this process to the k-th CPU it may run on, then lift the
+    restriction again.
 
-    The caller runs the first chunk itself; each other chunk runs in a
-    forked child that inherits its inputs copy-on-write and streams its
-    pickled result into a pipe. Without os.fork every chunk runs in-process.
+    Linux starts a forked child on its parent's CPU, and on an otherwise
+    idle machine the load balancer can leave both there for hundreds of
+    milliseconds, so a short fork-join runs at one CPU's speed. Moving the
+    caller to the first allowed CPU and child k to the k-th puts each job
+    on its own CPU at once; nothing stays pinned, so the scheduler may still
+    move them later.
+    """
+    if not hasattr(os, "sched_setaffinity"):
+        return
+    try:
+        allowed = os.sched_getaffinity(0)
+        cpus = sorted(allowed)
+        if len(cpus) > 1:
+            os.sched_setaffinity(0, {cpus[k % len(cpus)]})
+            os.sched_setaffinity(0, allowed)
+    except OSError:
+        pass
+
+
+PIECES_PER_JOB = 8  # forked work is cut this fine so that jobs even out
+MIN_PIECE = 16      # items; smaller pieces cost more in calls than they save
+
+
+def _fork_map(fn, items: list, jobs: int) -> list:
+    """Apply `fn` to contiguous pieces of `items` and return the piece
+    results in order.
+
+    Job k runs piece k first: the caller is job 0, every other job a forked
+    child that inherits its inputs copy-on-write. The remaining pieces go to
+    whichever job is free first, so a job on a slower or busier CPU takes
+    fewer of them. Children stream their pickled (index, result) pairs into
+    a pipe. With one job, or without os.fork, everything runs in-process.
     """
     # forking past the core count only adds contention, and a child for one
     # file costs more than it saves
     jobs = max(1, min(jobs, os.cpu_count() or 1, len(items) // 2))
-    size = max(1, -(-len(items) // jobs))
-    chunks = [items[i: i + size] for i in range(0, len(items), size)]
-    if len(chunks) < 2 or not hasattr(os, "fork"):
-        return [fn(chunk) for chunk in chunks]
+    # each job's share is cut into up to PIECES_PER_JOB equal pieces of at
+    # least MIN_PIECE items, and into at most 256 pieces in all, so that a
+    # piece index fits in one byte
+    per_job = -(-len(items) // jobs)
+    cuts = max(1, min(PIECES_PER_JOB, per_job // MIN_PIECE))
+    size = max(1, -(-per_job // cuts), -(-len(items) // 256))
+    pieces = [items[i: i + size] for i in range(0, len(items), size)]
+    jobs = min(jobs, len(pieces))
+    if jobs < 2 or not hasattr(os, "fork"):
+        return [fn(piece) for piece in pieces]
+    # the shared queue: the indices of the unassigned pieces, one byte each,
+    # in a pipe whose write end is closed before any fork; one-byte reads
+    # hand each index to exactly one job, and an empty read means done
+    queue, feed = os.pipe()
+    os.write(feed, bytes(range(jobs, len(pieces))))
+    os.close(feed)
+
+    def work(first: int) -> list:
+        done = [(first, fn(pieces[first]))]
+        while token := os.read(queue, 1):
+            done.append((token[0], fn(pieces[token[0]])))
+        return done
+
+    _move_to_cpu(0)
     children = []
-    for chunk in chunks[1:]:
+    for k in range(1, jobs):
         read_fd, write_fd = os.pipe()
         pid = os.fork()
         if pid == 0:  # child
+            _move_to_cpu(k)
             os.close(read_fd)
             try:
-                message = ("ok", fn(chunk))
+                message = ("ok", work(k))
             except BaseException as exc:  # noqa: BLE001 - crossing a process
                 try:
                     message = ("exc", pickle.loads(pickle.dumps(exc)))
@@ -541,11 +591,13 @@ def _fork_map(fn, items: list, jobs: int) -> list:
                 os._exit(0)
         os.close(write_fd)
         children.append((pid, read_fd))
-    results, failure = [], None
+    done, failure = [], None
     try:
-        results.append(fn(chunks[0]))
+        done.extend(work(0))
     except BaseException as exc:  # noqa: BLE001 - reap the children first
         failure = exc
+    finally:
+        os.close(queue)
     for pid, read_fd in children:
         with os.fdopen(read_fd, "rb") as source:
             try:
@@ -554,12 +606,13 @@ def _fork_map(fn, items: list, jobs: int) -> list:
                 status, value = "exc", RuntimeError("parallel worker died without a result")
         os.waitpid(pid, 0)
         if status == "ok":
-            results.append(value)
+            done.extend(value)
         else:
             failure = failure or value
     if failure is not None:
         raise failure
-    return results
+    done.sort(key=lambda pair: pair[0])
+    return [result for _, result in done]
 
 
 def _features(cfg: PipelineConfig, root, paths: list[str]) -> np.ndarray:
@@ -580,7 +633,7 @@ def _feature_rows(cfg: PipelineConfig, root, paths: list[str],
                   jobs: int) -> dict[str, np.ndarray]:
     """The feature row of every distinct path, from one fork-join."""
     paths = list(dict.fromkeys(paths))
-    parts = _fork_map(lambda chunk: _features(cfg, root, chunk), paths, jobs)
+    parts = _fork_map(lambda piece: _features(cfg, root, piece), paths, jobs)
     return dict(zip(paths, (row for part in parts for row in part)))
 
 
@@ -621,7 +674,7 @@ def _score_index(index: TestCaseIndex, model: ModelType, cfg: PipelineConfig,
     if cfg.pipeline == "nlp":
         for wc in classes:  # built once here; forked children inherit them
             model[wc].log_prob_table(cfg.smoothing_spec())
-    parts = _fork_map(lambda chunk: _scores(cfg, model, classes, root, chunk),
+    parts = _fork_map(lambda piece: _scores(cfg, model, classes, root, piece),
                       paths, jobs)
     scores = np.concatenate(parts) if parts else np.empty((0, len(classes)))
     return paths, classes, scores

@@ -1,5 +1,6 @@
 import math
 import os
+import time
 from decimal import Decimal
 
 import pytest
@@ -553,6 +554,40 @@ class TestForkMap:
             return chunk
         with pytest.raises(RuntimeError, match="died without a result"):
             _fork_map(die_in_child, [0, 1, 2, 3], jobs=2)
+
+    def test_many_pieces_come_back_in_order(self):
+        parts = _fork_map(lambda piece: [x * x for x in piece],
+                          list(range(1000)), jobs=2)
+        assert len(parts) == 2 * engine.PIECES_PER_JOB
+        assert [x for part in parts for x in part] == [x * x for x in range(1000)]
+
+    def test_free_job_takes_the_remaining_pieces(self):
+        caller = os.getpid()
+
+        def slow_in_caller(piece):
+            if os.getpid() == caller:
+                time.sleep(0.3)
+            return [(x, os.getpid()) for x in piece]
+        parts = _fork_map(slow_in_caller, list(range(64)), jobs=2)
+        pairs = [pair for part in parts for pair in part]
+        assert [x for x, _ in pairs] == list(range(64))
+        # the caller ran its first piece of 16; the child took the other 48
+        assert sum(pid == caller for _, pid in pairs) == 16
+
+    def test_more_jobs_than_pieces(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert _fork_map(lambda piece: piece, list(range(9)), jobs=4) == \
+            [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
+
+    def test_cpu_affinity_left_as_it_was(self):
+        """Chunks are moved onto their own CPUs, but nobody stays pinned."""
+        if not hasattr(os, "sched_getaffinity"):
+            return
+        allowed = os.sched_getaffinity(0)
+        masks = _fork_map(lambda chunk: os.sched_getaffinity(0),
+                          [0, 1, 2, 3], jobs=2)
+        assert masks == [allowed, allowed]
+        assert os.sched_getaffinity(0) == allowed
 
 
 class TestSweep:
