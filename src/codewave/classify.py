@@ -88,9 +88,6 @@ def train(vectors: list[tuple[WeaknessClass, FeatureVector | np.ndarray]],
     return TrainingSet(classes, config_hash)
 
 
-_BLOCK_FLOATS = 8192  # 64 KB: the difference buffer of `distances`
-
-
 def distances(X, C, metric: str = "eucl", p: float = 3.0,
               tol: float = 1e-4) -> np.ndarray:
     """N x K distances from every row of X to every row of C.
@@ -109,40 +106,32 @@ def distances(X, C, metric: str = "eucl", p: float = 3.0,
     if metric == "mink" and p < 1:
         raise ConfigError("minkowski exponent must be >= 1")
     # Every measure is symmetric and computed pair by pair over one
-    # contiguous row, so the bits do not depend on which side is looped over
-    # or on how rows are blocked. The loop runs over the shorter side, and
-    # differences go through one reused buffer of a few rows that stays in
-    # cache (an array of the longer side per class faults in fresh pages).
+    # contiguous row, so looping over the shorter side gives the same bits
+    # either way and keeps temporaries at (longer side) x d.
     if len(C) > len(X):
         return distances(C, X, metric, p, tol).T
     out = np.empty((len(X), len(C)), dtype=np.float64)
     if metric == "cos":
         x_norms = np.sqrt(np.einsum("ij,ij->i", X, X))
         c_norms = np.sqrt(np.einsum("ij,ij->i", C, C))
-        for k, c in enumerate(C):
+    for k, c in enumerate(C):
+        if metric == "cos":
             with np.errstate(divide="ignore", invalid="ignore"):
                 out[:, k] = 1.0 - np.einsum("ij,j->i", X, c) / (x_norms * c_norms[k])
             out[(x_norms == 0.0) | (c_norms[k] == 0.0), k] = 1.0
-        return out
-    step = max(1, _BLOCK_FLOATS // max(1, X.shape[1]))
-    buffer = np.empty((min(step, len(X)), X.shape[1]))
-    for start in range(0, len(X), step):
-        rows = X[start:start + step]
-        delta = buffer[:len(rows)]
-        block = out[start:start + step]
-        for k, c in enumerate(C):
-            np.subtract(rows, c, out=delta)
-            np.abs(delta, out=delta)
-            if metric == "eucl":
-                block[:, k] = np.sqrt(np.einsum("ij,ij->i", delta, delta))
-            elif metric == "cheb":
-                block[:, k] = np.max(delta, axis=1, initial=0.0)
-            elif metric == "mink":
-                block[:, k] = np.sum(delta ** p, axis=1) ** (1.0 / p)
-            elif metric == "hamming":
-                block[:, k] = np.count_nonzero(delta > tol, axis=1)
-            else:
-                block[:, k] = np.sum(np.where(delta > tol, delta, 0.0), axis=1)
+            continue
+        delta = X - c
+        np.abs(delta, out=delta)
+        if metric == "eucl":
+            out[:, k] = np.sqrt(np.einsum("ij,ij->i", delta, delta))
+        elif metric == "cheb":
+            out[:, k] = np.max(delta, axis=1, initial=0.0)
+        elif metric == "mink":
+            out[:, k] = np.sum(delta ** p, axis=1) ** (1.0 / p)
+        elif metric == "hamming":
+            out[:, k] = np.count_nonzero(delta > tol, axis=1)
+        else:
+            out[:, k] = np.sum(np.where(delta > tol, delta, 0.0), axis=1)
     return out
 
 

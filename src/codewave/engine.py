@@ -294,17 +294,22 @@ def parse_option_string(option_string: str) -> PipelineConfig:
 
 # --- features: samples in blocks, one row per file -------------------------------
 
-# Files are read and turned into samples one at a time, then preprocessed
-# and extracted a block at a time, as 2-D arrays. A block ends once it holds
-# this many input bytes: 4 files of 4 KB, whose samples (8 bytes per input
-# byte) just fit under 128 KB, the size from which glibc's malloc maps each
-# array afresh and, once one such array is freed, returns freed memory to
-# the system after every block, so the next block faults its pages in again.
+# Files are read one at a time, then turned into samples, preprocessed and
+# extracted a block at a time, as 2-D arrays. A block holds at most this
+# many input bytes: 4 files of 4 KB, whose samples (8 bytes per input byte)
+# just fit under 128 KB, the size from which glibc's malloc maps each array
+# afresh and, once one such array is freed, returns freed memory to the
+# system after every block, so the next block faults its pages in again.
+# For the same reason a block keeps its files as bytes and makes samples
+# one group of equal-length files at a time: on files of mixed lengths,
+# where nearly every group is one file, samples made for the whole block
+# at once cost 8 times the page faults of the per-file code.
 # Measured on 4 KB files (-raw -fft): in 40-file passes, 32 KB blocks cost
 # 28 page faults and 146 us per file where 16 KB blocks cost 0.1 faults and
 # 119 us (one file at a time: 0.1 faults, 136 us); in 1,600-file passes both
 # take about 91 us. Larger blocks also raise peak memory (256 KB blocks add
-# 4.7 MB to a 200-class scan's 51 MB). A larger file is a block of its own.
+# 4.7 MB to a 200-class scan's 51 MB). A file that would take a block past
+# the bound starts the next one, and a larger file is a block of its own.
 BLOCK_BYTES = 16 * 1024
 
 
@@ -313,18 +318,22 @@ def _feature_dim(cfg: PipelineConfig) -> int:
             "minmax": cfg.minmax_d}[cfg.extractor]
 
 
-def _block_features(cfg: PipelineConfig, signals: list[np.ndarray]) -> np.ndarray:
-    """Feature rows of sample arrays of any lengths. Arrays of equal length
-    are stacked and preprocessed and extracted as one 2-D array; the rows
-    come out bit-identical to processing each array on its own."""
-    out = np.empty((len(signals), _feature_dim(cfg)))
+def _block_features(cfg: PipelineConfig, contents: list[bytes]) -> np.ndarray:
+    """Feature rows of files of any lengths. The samples of files of equal
+    length are stacked and preprocessed and extracted as one 2-D array; the
+    rows come out bit-identical to processing each file on its own."""
+    out = np.empty((len(contents), _feature_dim(cfg)))
     groups: dict[int, list[int]] = {}
-    for i, samples in enumerate(signals):
-        groups.setdefault(len(samples), []).append(i)
+    for i, data in enumerate(contents):
+        groups.setdefault(len(data), []).append(i)
     spec = cfg.filter_spec()
     for members in groups.values():
-        rows = (signals[members[0]][np.newaxis] if len(members) == 1
-                else np.stack([signals[i] for i in members]))
+        # samples (8 bytes per input byte) are made one group at a time, so
+        # that little more than one group's arrays is live at once
+        samples = [samples_from_bytes(contents[i], cfg.loader_ngram)
+                   for i in members]
+        rows = samples[0][np.newaxis] if len(members) == 1 else np.stack(samples)
+        del samples
         rows, stride2 = preprocess_rows(rows, spec)
         if cfg.extractor == "fft":
             out[members] = fft_features(rows, cfg.fft_window, cfg.fft_bins)
@@ -341,7 +350,7 @@ def feature_vector(cfg: PipelineConfig, data: bytes) -> FeatureVector:
     """Run the signal pipeline on raw bytes: load, preprocess, extract (the
     one-file form of the block path)."""
     return FeatureVector(
-        _block_features(cfg, [samples_from_bytes(data, cfg.loader_ngram)])[0],
+        _block_features(cfg, [data])[0],
         cfg.extractor)
 
 
@@ -506,79 +515,64 @@ def _contents(root, paths: Iterable[str]) -> Iterable[bytes]:
     return ((Path(root) / path).read_bytes() for path in paths)
 
 
-def _move_to_cpu(k: int) -> None:
-    """Migrate this process to the k-th CPU it may run on, then lift the
-    restriction again.
+def _current_cpu() -> Optional[int]:
+    """The CPU this process is running on, where Linux tells it."""
+    try:
+        with open("/proc/self/stat", "rb") as stat:
+            return int(stat.read().rsplit(b")", 1)[1].split()[36])
+    except (OSError, ValueError, IndexError):
+        return None
 
-    Linux starts a forked child on its parent's CPU, and on an otherwise
-    idle machine the load balancer can leave both there for hundreds of
-    milliseconds, so a short fork-join runs at one CPU's speed. Moving the
-    caller to the first allowed CPU and child k to the k-th puts each job
-    on its own CPU at once; nothing stays pinned, so the scheduler may still
-    move them later.
+
+def _leave_cpu(home: Optional[int], k: int) -> None:
+    """Move forked child k to the k-th CPU after `home`, the CPU its parent
+    ran on when it forked, then lift the restriction again.
+
+    Linux starts a forked child on its parent's CPU, and the load balancer
+    can leave both there for hundreds of milliseconds, so a short fork-join
+    runs at one CPU's speed. The parent is not moved, and the count starts
+    from its CPU, so callers that the scheduler has already spread out send
+    their children to different CPUs. Nothing stays pinned.
     """
-    if not hasattr(os, "sched_setaffinity"):
+    if home is None or not hasattr(os, "sched_setaffinity"):
         return
     try:
         allowed = os.sched_getaffinity(0)
         cpus = sorted(allowed)
-        if len(cpus) > 1:
-            os.sched_setaffinity(0, {cpus[k % len(cpus)]})
+        if home in allowed and len(cpus) > 1:
+            os.sched_setaffinity(0, {cpus[(cpus.index(home) + k) % len(cpus)]})
             os.sched_setaffinity(0, allowed)
     except OSError:
         pass
 
 
-PIECES_PER_JOB = 8  # forked work is cut this fine so that jobs even out
-MIN_PIECE = 16      # items; smaller pieces cost more in calls than they save
-
-
 def _fork_map(fn, items: list, jobs: int) -> list:
-    """Apply `fn` to contiguous pieces of `items` and return the piece
-    results in order.
+    """Apply `fn` to contiguous chunks of `items`, one chunk per job, and
+    return the chunk results in order.
 
-    Job k runs piece k first: the caller is job 0, every other job a forked
-    child that inherits its inputs copy-on-write. The remaining pieces go to
-    whichever job is free first, so a job on a slower or busier CPU takes
-    fewer of them. Children stream their pickled (index, result) pairs into
-    a pipe. With one job, or without os.fork, everything runs in-process.
+    The caller runs the first chunk itself; each other chunk runs in a
+    forked child that inherits its inputs copy-on-write and streams its
+    pickled result into a pipe; child k first moves to the k-th CPU after
+    the caller's (see _leave_cpu). Without os.fork every chunk runs
+    in-process.
     """
     # forking past the core count only adds contention, and a child for one
     # file costs more than it saves
     jobs = max(1, min(jobs, os.cpu_count() or 1, len(items) // 2))
-    # each job's share is cut into up to PIECES_PER_JOB equal pieces of at
-    # least MIN_PIECE items, and into at most 256 pieces in all, so that a
-    # piece index fits in one byte
-    per_job = -(-len(items) // jobs)
-    cuts = max(1, min(PIECES_PER_JOB, per_job // MIN_PIECE))
-    size = max(1, -(-per_job // cuts), -(-len(items) // 256))
-    pieces = [items[i: i + size] for i in range(0, len(items), size)]
-    jobs = min(jobs, len(pieces))
-    if jobs < 2 or not hasattr(os, "fork"):
-        return [fn(piece) for piece in pieces]
-    # the shared queue: the indices of the unassigned pieces, one byte each,
-    # in a pipe whose write end is closed before any fork; one-byte reads
-    # hand each index to exactly one job, and an empty read means done
-    queue, feed = os.pipe()
-    os.write(feed, bytes(range(jobs, len(pieces))))
-    os.close(feed)
-
-    def work(first: int) -> list:
-        done = [(first, fn(pieces[first]))]
-        while token := os.read(queue, 1):
-            done.append((token[0], fn(pieces[token[0]])))
-        return done
-
-    _move_to_cpu(0)
+    size = max(1, -(-len(items) // jobs))
+    chunks = [items[i: i + size] for i in range(0, len(items), size)]
+    if len(chunks) < 2 or not hasattr(os, "fork"):
+        return [fn(chunk) for chunk in chunks]
+    home = _current_cpu()
     children = []
-    for k in range(1, jobs):
+    for k, chunk in enumerate(chunks[1:], 1):
         read_fd, write_fd = os.pipe()
         pid = os.fork()
         if pid == 0:  # child
-            _move_to_cpu(k)
+            _leave_cpu(home, k)
             os.close(read_fd)
             try:
-                message = ("ok", work(k))
+                message = ("ok", fn(chunk))
             except BaseException as exc:  # noqa: BLE001 - crossing a process
                 try:
                     message = ("exc", pickle.loads(pickle.dumps(exc)))
@@ -591,13 +585,11 @@ def _fork_map(fn, items: list, jobs: int) -> list:
                 os._exit(0)
         os.close(write_fd)
         children.append((pid, read_fd))
-    done, failure = [], None
+    results, failure = [], None
     try:
-        done.extend(work(0))
+        results.append(fn(chunks[0]))
     except BaseException as exc:  # noqa: BLE001 - reap the children first
         failure = exc
-    finally:
-        os.close(queue)
     for pid, read_fd in children:
         with os.fdopen(read_fd, "rb") as source:
             try:
@@ -606,13 +598,12 @@ def _fork_map(fn, items: list, jobs: int) -> list:
                 status, value = "exc", RuntimeError("parallel worker died without a result")
         os.waitpid(pid, 0)
         if status == "ok":
-            done.extend(value)
+            results.append(value)
         else:
             failure = failure or value
     if failure is not None:
         raise failure
-    done.sort(key=lambda pair: pair[0])
-    return [result for _, result in done]
+    return results
 
 
 def _features(cfg: PipelineConfig, root, paths: list[str]) -> np.ndarray:
@@ -620,12 +611,14 @@ def _features(cfg: PipelineConfig, root, paths: list[str]) -> np.ndarray:
     files at a time (see BLOCK_BYTES)."""
     matrix = np.empty((len(paths), _feature_dim(cfg)))
     block, size, start = [], 0, 0
-    for i, data in enumerate(_contents(root, paths), 1):
-        block.append(samples_from_bytes(data, cfg.loader_ngram))
-        size += len(data)
-        if size >= BLOCK_BYTES or i == len(paths):
+    for i, data in enumerate(_contents(root, paths)):
+        if block and size + len(data) > BLOCK_BYTES:
             matrix[start:i] = _block_features(cfg, block)
             block, size, start = [], 0, i
+        block.append(data)
+        size += len(data)
+    if block:
+        matrix[start:] = _block_features(cfg, block)
     return matrix
 
 
@@ -633,7 +626,7 @@ def _feature_rows(cfg: PipelineConfig, root, paths: list[str],
                   jobs: int) -> dict[str, np.ndarray]:
     """The feature row of every distinct path, from one fork-join."""
     paths = list(dict.fromkeys(paths))
-    parts = _fork_map(lambda piece: _features(cfg, root, piece), paths, jobs)
+    parts = _fork_map(lambda chunk: _features(cfg, root, chunk), paths, jobs)
     return dict(zip(paths, (row for part in parts for row in part)))
 
 
@@ -674,7 +667,7 @@ def _score_index(index: TestCaseIndex, model: ModelType, cfg: PipelineConfig,
     if cfg.pipeline == "nlp":
         for wc in classes:  # built once here; forked children inherit them
             model[wc].log_prob_table(cfg.smoothing_spec())
-    parts = _fork_map(lambda piece: _scores(cfg, model, classes, root, piece),
+    parts = _fork_map(lambda chunk: _scores(cfg, model, classes, root, chunk),
                       paths, jobs)
     scores = np.concatenate(parts) if parts else np.empty((0, len(classes)))
     return paths, classes, scores

@@ -56,7 +56,9 @@ def fft_features(rows: np.ndarray, window: int = 1024, d: int = 512) -> np.ndarr
     padded = np.zeros((count, n_windows * window), dtype=np.float64)
     padded[:, :n] = rows
     frames = padded.reshape(count, n_windows, window)
-    return np.abs(np.fft.rfft(frames, axis=2)[:, :, :d]).mean(axis=1)
+    # abs over the whole contiguous spectrum: on a sliced one numpy buffers
+    # every call through a fresh 128 KB block, which faults pages in anew
+    return np.abs(np.fft.rfft(frames, axis=2))[:, :, :d].mean(axis=1)
 
 
 def autocorrelation(x: np.ndarray, max_lag: int) -> np.ndarray:

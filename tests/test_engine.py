@@ -1,6 +1,5 @@
 import math
 import os
-import time
 from decimal import Decimal
 
 import pytest
@@ -555,32 +554,8 @@ class TestForkMap:
         with pytest.raises(RuntimeError, match="died without a result"):
             _fork_map(die_in_child, [0, 1, 2, 3], jobs=2)
 
-    def test_many_pieces_come_back_in_order(self):
-        parts = _fork_map(lambda piece: [x * x for x in piece],
-                          list(range(1000)), jobs=2)
-        assert len(parts) == 2 * engine.PIECES_PER_JOB
-        assert [x for part in parts for x in part] == [x * x for x in range(1000)]
-
-    def test_free_job_takes_the_remaining_pieces(self):
-        caller = os.getpid()
-
-        def slow_in_caller(piece):
-            if os.getpid() == caller:
-                time.sleep(0.3)
-            return [(x, os.getpid()) for x in piece]
-        parts = _fork_map(slow_in_caller, list(range(64)), jobs=2)
-        pairs = [pair for part in parts for pair in part]
-        assert [x for x, _ in pairs] == list(range(64))
-        # the caller ran its first piece of 16; the child took the other 48
-        assert sum(pid == caller for _, pid in pairs) == 16
-
-    def test_more_jobs_than_pieces(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        assert _fork_map(lambda piece: piece, list(range(9)), jobs=4) == \
-            [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
-
     def test_cpu_affinity_left_as_it_was(self):
-        """Chunks are moved onto their own CPUs, but nobody stays pinned."""
+        """Children move off the caller's CPU, but nobody stays pinned."""
         if not hasattr(os, "sched_getaffinity"):
             return
         allowed = os.sched_getaffinity(0)
@@ -588,6 +563,26 @@ class TestForkMap:
                           [0, 1, 2, 3], jobs=2)
         assert masks == [allowed, allowed]
         assert os.sched_getaffinity(0) == allowed
+
+    def test_child_k_moves_k_cpus_past_the_caller(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5, 7},
+                            raising=False)
+        monkeypatch.setattr(os, "sched_setaffinity",
+                            lambda pid, mask: calls.append(set(mask)),
+                            raising=False)
+        engine._leave_cpu(5, 1)
+        engine._leave_cpu(5, 2)
+        engine._leave_cpu(None, 1)  # caller's CPU unknown: stay put
+        engine._leave_cpu(3, 1)     # caller outside the mask: stay put
+        assert calls == [{7}, {0, 2, 5, 7}, {0}, {0, 2, 5, 7}]
+
+    def test_current_cpu_is_one_the_process_may_use(self):
+        cpu = engine._current_cpu()
+        if hasattr(os, "sched_getaffinity") and os.path.exists("/proc/self/stat"):
+            assert cpu in os.sched_getaffinity(0)
+        else:
+            assert cpu is None
 
 
 class TestSweep:
