@@ -9,6 +9,7 @@ sweeps can search for the most precise one per corpus.
 from __future__ import annotations
 
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -186,8 +187,20 @@ def _pack_str(s: str) -> bytes:
 
 def _unpack_str(buf: memoryview, off: int) -> tuple[str, int]:
     (n,) = struct.unpack_from("<H", buf, off)
-    off += 2
-    return bytes(buf[off: off + n]).decode("utf-8"), off + n
+    (raw,) = struct.unpack_from(f"{n}s", buf, off + 2)
+    return raw.decode("utf-8"), off + 2 + n
+
+
+@contextmanager
+def _model_buffer(file):
+    """The bytes of a model file. Reading past their end (a file cut
+    short) or misreading them raises ModelFormatError naming the file."""
+    try:
+        yield memoryview(Path(file).read_bytes())
+    except ModelFormatError:
+        raise
+    except (struct.error, ValueError) as exc:
+        raise ModelFormatError(f"{file}: truncated or corrupt model ({exc})") from exc
 
 
 def save_training_set(ts: TrainingSet, file) -> None:
@@ -206,22 +219,22 @@ def save_training_set(ts: TrainingSet, file) -> None:
 
 
 def load_training_set(file) -> TrainingSet:
-    buf = memoryview(Path(file).read_bytes())
-    if bytes(buf[:4]) != MAGIC:
-        raise ModelFormatError(f"{file}: bad magic (expected CWTS)")
-    version, d, n_classes = struct.unpack_from("<HII", buf, 4)
-    if version != FORMAT_VERSION:
-        raise ModelFormatError(f"{file}: unsupported version {version}")
-    off = 4 + 10
-    config_hash, off = _unpack_str(buf, off)
-    classes: dict[WeaknessClass, ClusterModel] = {}
-    for _ in range(n_classes):
-        kind, off = _unpack_str(buf, off)
-        class_id, off = _unpack_str(buf, off)
-        cluster_kind, count = struct.unpack_from("<BI", buf, off)
-        off += 5
-        centroid = np.frombuffer(buf, dtype="<f8", count=d, offset=off).copy()
-        off += 8 * d
-        classes[WeaknessClass(kind, class_id)] = ClusterModel(
-            centroid, count, "mean" if cluster_kind == 0 else "median")
-    return TrainingSet(classes, config_hash)
+    with _model_buffer(file) as buf:
+        if bytes(buf[:4]) != MAGIC:
+            raise ModelFormatError(f"{file}: bad magic (expected CWTS)")
+        version, d, n_classes = struct.unpack_from("<HII", buf, 4)
+        if version != FORMAT_VERSION:
+            raise ModelFormatError(f"{file}: unsupported version {version}")
+        off = 4 + 10
+        config_hash, off = _unpack_str(buf, off)
+        classes: dict[WeaknessClass, ClusterModel] = {}
+        for _ in range(n_classes):
+            kind, off = _unpack_str(buf, off)
+            class_id, off = _unpack_str(buf, off)
+            cluster_kind, count = struct.unpack_from("<BI", buf, off)
+            off += 5
+            centroid = np.frombuffer(buf, dtype="<f8", count=d, offset=off).copy()
+            off += 8 * d
+            classes[WeaknessClass(kind, class_id)] = ClusterModel(
+                centroid, count, "mean" if cluster_kind == 0 else "median")
+        return TrainingSet(classes, config_hash)

@@ -208,21 +208,31 @@ class _StoreHandler(socketserver.BaseRequestHandler):
         while True:
             try:
                 message = recv_message(self.request)
-            except (ConnectionError, json.JSONDecodeError):
+            except ConnectionError:
                 return
+            except ValueError:  # a whole frame, but not UTF-8 JSON
+                message = None
             try:
                 reply = self._dispatch(store, message)
             except ProtocolError as exc:
-                reply = {"type": "ERROR", "signature": message.get("signature"),
+                signature = (message.get("signature")
+                             if isinstance(message, dict) else None)
+                reply = {"type": "ERROR", "signature": signature,
                          "payload": {"message": str(exc)}}
             send_message(self.request, reply)
 
     @staticmethod
-    def _dispatch(store: DemandStore, message: dict) -> dict:
+    def _dispatch(store: DemandStore, message) -> dict:
+        if not isinstance(message, dict):
+            raise ProtocolError("message body must be a JSON object")
         kind = message.get("type")
         signature = message.get("signature")
         payload = message.get("payload") or {}
+        if not isinstance(payload, dict):
+            raise ProtocolError("message payload must be a JSON object")
         if kind == "DEPOSIT":
+            if not isinstance(signature, str) or not signature:
+                raise ProtocolError("DEPOSIT needs a signature string")
             state = store.deposit(signature, payload.get("path", ""),
                                   payload.get("content_kind", "source"))
             return {"type": "ACK", "signature": signature,
@@ -399,11 +409,11 @@ def run_generator(host: str, port: int, index: TestCaseIndex,
     from pathlib import Path
 
     expected: list[tuple[str, str]] = []  # (signature, path) in index order
+    config = cfg.option_string
     with StoreClient(host, port) as client:
         for entry in index.entries:
             digest = content_digest((Path(root) / entry.path).read_bytes())
-            signature = signature_for(index.case_name, entry.path,
-                                      cfg.option_string, digest)
+            signature = signature_for(index.case_name, entry.path, config, digest)
             client.deposit(signature, entry.path, entry.content_kind)
             expected.append((signature, entry.path))
         signatures = [s for s, _ in expected]

@@ -13,8 +13,9 @@ import math
 import os
 import pickle
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from decimal import ROUND_HALF_UP, Decimal
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
@@ -35,12 +36,6 @@ from .index import TestCaseIndex, WeaknessClass
 from .loader import samples_from_bytes
 from .preprocess import (SCALING, FilterSpec, preprocess,  # noqa: F401
                          preprocess_rows, wavelet)
-
-NGRAM_FLAGS = {1: "-unigram", 2: "-bigram", 3: "-trigram"}
-FLAG_NGRAMS = {v: k for k, v in NGRAM_FLAGS.items()}
-SMOOTHING_FLAGS = {"mle": "-mle", "add_delta": "-add-delta",
-                   "witten_bell": "-witten-bell"}
-FLAG_SMOOTHINGS = {v: k for k, v in SMOOTHING_FLAGS.items()}
 
 ModelType = Union[TrainingSet, dict[WeaknessClass, nlp.NGramModel]]
 
@@ -109,67 +104,35 @@ class PipelineConfig:
             if not valid:
                 raise ConfigError(problem)
 
-    @property
+    # option_string and config_hash are formatted once per config: a frozen
+    # config keeps them in its __dict__, which its fields and == ignore
+    @cached_property
     def option_string(self) -> str:
-        """Canonical flag form; defaults are omitted, parameters attach
-        to their flag with '=' (e.g. -mink=4)."""
+        """Canonical flag form, in FLAG_TABLE order; parameters attach to
+        their flag with '=' (e.g. -mink=4)."""
+        return " ".join(self._tokens(PRINTED_CATEGORIES[self.pipeline]))
+
+    def _tokens(self, categories) -> list[str]:
+        """The flags of `categories` that this config selects, spelled with
+        all their parameters once any differs from its default. A flag that
+        sets nothing but its parameter is left out at the default."""
+        mine = dict(vars(self), n=self.nlp_n)
+        if self.pipeline == "signal":  # the loader's default size goes unsaid
+            mine["n"] = (None if self.loader_ngram == DEFAULTS["loader_ngram"]
+                         else self.loader_ngram)
         tokens = []
-        if self.class_kind == "cwe":
-            tokens.append("-cweid")
-        tokens.append("-nopreprep")
-        if self.pipeline == "signal":
-            if self.loader_ngram != 2:
-                tokens.append(NGRAM_FLAGS[self.loader_ngram])
-            tokens.append(self._prep_token())
-            tokens.append(self._extractor_token())
-            tokens.append(self._metric_token())
-            if self.cluster_kind == "median":
-                tokens.append("-median")
-        else:
-            tokens.append("-char")
-            tokens.append(NGRAM_FLAGS[self.nlp_n])
-            tokens.append(self._smoothing_token())
-        if math.isfinite(self.threshold):
-            tokens.append(f"-threshold={_number(self.threshold)}")
-        for flag, enabled in (("-flucid", self.flucid),
-                              ("-spectrogram", self.spectrogram),
-                              ("-graph", self.graph)):
-            if enabled:
+        for flag, (category, sets, params) in FLAG_TABLE.items():
+            if category not in categories or not sets.items() <= mine.items():
+                continue
+            values = [mine[name] for name in params]
+            if values != [DEFAULTS[name] for name in params]:
+                tokens.append(f"{flag}=" + ":".join(
+                    _number(v) if isinstance(v, float) else str(v) for v in values))
+            elif sets or not params:
                 tokens.append(flag)
-        return " ".join(tokens)
+        return tokens
 
-    def _prep_token(self) -> str:
-        if self.filter_kind == "low":
-            return "-low" if self.cutoff_fraction == 0.25 else \
-                f"-low={_number(self.cutoff_fraction)}"
-        if self.filter_kind == "sdwt":
-            if self.wavelet_name == "haar" and self.sdwt_levels == 1:
-                return "-sdwt"
-            return f"-sdwt={self.wavelet_name}:{self.sdwt_levels}"
-        return f"-{self.filter_kind}"
-
-    def _extractor_token(self) -> str:
-        if self.extractor == "fft":
-            if (self.fft_window, self.fft_bins) == (1024, 512):
-                return "-fft"
-            return f"-fft={self.fft_window}:{self.fft_bins}"
-        if self.extractor == "lpc":
-            return "-lpc" if self.lpc_order == 20 else f"-lpc={self.lpc_order}"
-        return "-minmax" if self.minmax_d == 4 else f"-minmax={self.minmax_d}"
-
-    def _metric_token(self) -> str:
-        if self.metric == "mink" and self.mink_p != 3.0:
-            return f"-mink={_number(self.mink_p)}"
-        if self.metric in ("hamming", "diff") and self.tolerance != 1e-4:
-            return f"-{self.metric}={_number(self.tolerance)}"
-        return f"-{self.metric}"
-
-    def _smoothing_token(self) -> str:
-        if self.smoothing == "add_delta" and self.delta != 1.0:
-            return f"-add-delta={_number(self.delta)}"
-        return SMOOTHING_FLAGS[self.smoothing]
-
-    @property
+    @cached_property
     def config_hash(self) -> str:
         """Fingerprint of the loader/preprocess/extractor settings.
 
@@ -181,7 +144,7 @@ class PipelineConfig:
         """
         if self.pipeline == "signal":
             parts = ["signal", self.class_kind, str(self.loader_ngram),
-                     self._prep_token(), self._extractor_token()]
+                     *self._tokens(("preprocessing", "extractor"))]
         else:
             parts = ["nlp", self.class_kind, str(self.nlp_n),
                      f"V={self.vocab_size}"]
@@ -198,45 +161,58 @@ class PipelineConfig:
         return nlp.SmoothingSpec(self.smoothing, self.delta)
 
 
-def _sdwt_param(param: str) -> dict:
-    name, _, levels = param.partition(":")
-    return {"wavelet_name": name, **({"sdwt_levels": int(levels)} if levels else {})}
-
-
-def _fft_param(param: str) -> dict:
-    window, _, bins = param.partition(":")
-    return {"fft_window": int(window),
-            "fft_bins": int(bins) if bins else int(window) // 2}
-
+DEFAULTS = {f.name: f.default for f in fields(PipelineConfig)}
 
 # flag -> (the category it settles, or None if any number may be given;
-#          the fields it sets; a parser turning its "=param" into more fields,
-#          or None when it takes no parameter)
+#          the fields it sets, where "n" is the n-gram size of the chosen
+#          pipeline; the fields its "=a:b" parameter fills, in order, each
+#          read as the type of the field's default). The option string lists
+#          the flags in this order. -fft=W means -fft=W:W/2.
 FLAG_TABLE = {
-    "-nopreprep": (None, {}, None),
-    "-cweid": ("class kind", {"class_kind": "cwe"}, None),
-    **{flag: ("n-gram size", {"n": n}, None) for flag, n in FLAG_NGRAMS.items()},
-    **{f"-{k}": ("preprocessing", {"filter_kind": k}, None) for k in ("raw", "norm")},
-    "-low": ("preprocessing", {"filter_kind": "low"},
-             lambda v: {"cutoff_fraction": float(v)}),
-    "-sdwt": ("preprocessing", {"filter_kind": "sdwt"}, _sdwt_param),
-    "-fft": ("extractor", {"extractor": "fft"}, _fft_param),
-    "-lpc": ("extractor", {"extractor": "lpc"}, lambda v: {"lpc_order": int(v)}),
-    "-minmax": ("extractor", {"extractor": "minmax"},
-                lambda v: {"minmax_d": int(v)}),
-    **{f"-{m}": ("metric", {"metric": m}, None) for m in ("eucl", "cheb", "cos")},
-    "-mink": ("metric", {"metric": "mink"}, lambda v: {"mink_p": float(v)}),
-    **{f"-{m}": ("metric", {"metric": m}, lambda v: {"tolerance": float(v)})
-       for m in ("hamming", "diff")},
-    "-median": ("cluster kind", {"cluster_kind": "median"}, None),
-    "-char": (None, {"pipeline": "nlp"}, None),
-    **{flag: ("smoothing", {"smoothing": kind},
-              (lambda v: {"delta": float(v)}) if kind == "add_delta" else None)
-       for flag, kind in FLAG_SMOOTHINGS.items()},
-    "-threshold": (None, {}, lambda v: {"threshold": float(v)}),
-    **{f"-{name}": (None, {name: True}, None)
-       for name in ("flucid", "spectrogram", "graph")},
+    "-cweid": ("class kind", {"class_kind": "cwe"}, ()),
+    "-nopreprep": (None, {}, ()),
+    "-char": (None, {"pipeline": "nlp"}, ()),
+    **{flag: ("n-gram size", {"n": n}, ())
+       for n, flag in enumerate(("-unigram", "-bigram", "-trigram"), 1)},
+    **{f"-{k}": ("preprocessing", {"filter_kind": k}, ()) for k in ("raw", "norm")},
+    "-low": ("preprocessing", {"filter_kind": "low"}, ("cutoff_fraction",)),
+    "-sdwt": ("preprocessing", {"filter_kind": "sdwt"},
+              ("wavelet_name", "sdwt_levels")),
+    "-fft": ("extractor", {"extractor": "fft"}, ("fft_window", "fft_bins")),
+    "-lpc": ("extractor", {"extractor": "lpc"}, ("lpc_order",)),
+    "-minmax": ("extractor", {"extractor": "minmax"}, ("minmax_d",)),
+    **{f"-{m}": ("metric", {"metric": m}, ()) for m in ("eucl", "cheb", "cos")},
+    "-mink": ("metric", {"metric": "mink"}, ("mink_p",)),
+    **{f"-{m}": ("metric", {"metric": m}, ("tolerance",)) for m in ("hamming", "diff")},
+    "-median": ("cluster kind", {"cluster_kind": "median"}, ()),
+    "-mle": ("smoothing", {"smoothing": "mle"}, ()),
+    "-add-delta": ("smoothing", {"smoothing": "add_delta"}, ("delta",)),
+    "-witten-bell": ("smoothing", {"smoothing": "witten_bell"}, ()),
+    "-threshold": ("threshold", {}, ("threshold",)),
+    **{f"-{name}": (None, {name: True}, ()) for name in ("flucid", "spectrogram", "graph")},
 }
+
+# the categories that belong to one pipeline only
+PIPELINE_CATEGORIES = {"signal": {"preprocessing", "extractor", "metric", "cluster kind"},
+                       "nlp": {"smoothing"}}
+# the categories of the flags that a config of each pipeline prints
+PRINTED_CATEGORIES = {
+    pipeline: {category for category, _, _ in FLAG_TABLE.values()} - other
+    for pipeline, other in (("signal", PIPELINE_CATEGORIES["nlp"]),
+                            ("nlp", PIPELINE_CATEGORIES["signal"]))}
+
+
+def _parameters(flag: str, params: tuple, text: str) -> dict:
+    """The fields that `flag`'s "=a:b" parameter text fills."""
+    parts = text.split(":")
+    if len(parts) > len(params):
+        raise ConfigError(f"{flag} takes at most {len(params)} parameter(s)")
+    try:
+        if flag == "-fft" and len(parts) == 1:
+            parts.append(str(int(parts[0]) // 2))
+        return {name: type(DEFAULTS[name])(part) for name, part in zip(params, parts)}
+    except ValueError:
+        raise ConfigError(f"bad parameter {flag}={text}") from None
 
 
 def is_pipeline_flag(token: str) -> bool:
@@ -253,17 +229,17 @@ def parse_option_tokens(tokens: Iterable[str]) -> PipelineConfig:
     the same category are rejected rather than last-one-wins so a typo in a
     sweep grid cannot silently change the run.
     """
-    fields: dict = {}
+    values: dict = {}
     seen: dict[str, str] = {}  # category -> flag that set it
     for raw in tokens:
         flag = raw[1:] if raw.startswith("--") else raw
         name, _, param = flag.partition("=")
         if name not in FLAG_TABLE:
             raise ConfigError(f"unknown option {raw!r}")
-        category, values, parse = FLAG_TABLE[name]
-        if param and parse is None:
+        category, sets, params = FLAG_TABLE[name]
+        if param and not params:
             raise ConfigError(f"{name} takes no parameter")
-        if parse and not (param or values):
+        if params and not (param or sets):
             raise ConfigError(f"{name} needs a value ({name}=x)")
         if category in seen:
             raise ConfigError(
@@ -271,21 +247,20 @@ def parse_option_tokens(tokens: Iterable[str]) -> PipelineConfig:
                 f"the {category}")
         if category is not None:
             seen[category] = name
-        fields.update(values, **(parse(param) if param else {}))
+        values.update(sets, **(_parameters(name, params, param) if param else {}))
 
-    n = fields.pop("n", None)
-    nlp_flags = {"smoothing"} & set(seen)
-    signal_flags = {"preprocessing", "extractor", "metric", "cluster kind"} & set(seen)
-    if fields.get("pipeline") == "nlp" or nlp_flags:
+    n = values.pop("n", None)
+    nlp_flags = PIPELINE_CATEGORIES["nlp"] & set(seen)
+    signal_flags = PIPELINE_CATEGORIES["signal"] & set(seen)
+    if values.get("pipeline") == "nlp" or nlp_flags:
         if signal_flags:
             raise ConfigError(
-                "conflicting flags: cannot mix the NLP pipeline "
-                f"({seen.get('smoothing', '-char')}) with signal flags "
-                f"({', '.join(sorted(seen[c] for c in signal_flags))})")
-        fields["pipeline"] = "nlp"
+                "conflicting flags: cannot mix the NLP pipeline with signal "
+                f"flags ({', '.join(sorted(seen[c] for c in signal_flags))})")
+        values["pipeline"] = "nlp"
     if n is not None:
-        fields["nlp_n" if fields.get("pipeline") == "nlp" else "loader_ngram"] = n
-    return PipelineConfig(**fields)
+        values["nlp_n" if values.get("pipeline") == "nlp" else "loader_ngram"] = n
+    return PipelineConfig(**values)
 
 
 def parse_option_string(option_string: str) -> PipelineConfig:
@@ -387,19 +362,14 @@ class ScanWarning:
 def warning_from_result(path: str, result: ResultSet,
                         cfg: PipelineConfig) -> Optional[ScanWarning]:
     """Apply the accept threshold to a ranked result; None means rejected."""
-    return _accept(path, result, cfg.threshold, cfg.option_string)
-
-
-def _accept(path: str, result: ResultSet, threshold: float,
-            config: str) -> Optional[ScanWarning]:
     if not result.ranked:
         return None
     top, score = result.ranked[0]
-    if score > threshold or not math.isfinite(score):
+    if score > cfg.threshold or not math.isfinite(score):
         return None
     second = result.ranked[1][0] if len(result.ranked) > 1 else None
     return ScanWarning(path=path, weakness=top, score=score, rank=1,
-                       second_guess=second, config=config)
+                       second_guess=second, config=cfg.option_string)
 
 
 def precision_pct(good: int, bad: int) -> Decimal:
@@ -681,11 +651,10 @@ def _warnings(paths: list[str], classes: list[WeaknessClass],
     the top two entries of each row are ever materialized.
     """
     warnings = []
-    config = cfg.option_string
     top_two = np.argsort(scores, axis=1, kind="stable")[:, :2]
     for path, row, top in zip(paths, scores, top_two):
         result = ResultSet([(classes[j], float(row[j])) for j in top])
-        warning = _accept(path, result, cfg.threshold, config)
+        warning = warning_from_result(path, result, cfg)
         if warning is not None:
             warnings.append(warning)
     return warnings

@@ -26,7 +26,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .classify import ResultSet, _pack_str, _unpack_str, by_id, rank
+from .classify import (ResultSet, _model_buffer, _pack_str, _unpack_str,
+                       by_id, rank)
 from .errors import ConfigError, ModelFormatError
 from .index import WeaknessClass
 
@@ -34,6 +35,9 @@ MAGIC = b"CWNM"
 FORMAT_VERSION = 1
 
 SMOOTHINGS = ("mle", "add_delta", "witten_bell")
+
+# one symbol of a context in a CWNM file: u8 symbol, u64 count, packed
+RECORD = np.dtype([("symbol", "u1"), ("count", "<u8")])
 
 
 @dataclass(frozen=True)
@@ -322,56 +326,55 @@ def save_models(models: dict[WeaknessClass, NGramModel], file,
     vocab_values = {m.vocab_size for m in models.values()}
     if len(n_values) != 1 or len(vocab_values) != 1:
         raise ConfigError("all persisted models must share n and vocab_size")
+    n = n_values.pop()
     out = bytearray()
     out += MAGIC
-    out += struct.pack("<HII", FORMAT_VERSION, n_values.pop(), vocab_values.pop())
+    out += struct.pack("<HII", FORMAT_VERSION, n, vocab_values.pop())
     out += _pack_str(config_hash)
     out += struct.pack("<I", len(models))
     for wc in sorted(models, key=lambda w: (w.kind, w.id)):
-        model = models[wc]
+        codes, counts = models[wc].code_counts()
+        records = np.empty(len(codes), dtype=RECORD)
+        records["symbol"] = codes & 0xFF
+        records["count"] = counts
+        contexts = codes >> 8
+        starts = np.flatnonzero(np.diff(contexts, prepend=-1)).tolist()
         out += _pack_str(wc.kind)
         out += _pack_str(wc.id)
-        out += struct.pack("<I", len(model.counts))
-        for ctx in sorted(model.counts):
-            by_symbol = model.counts[ctx]
-            out += ctx  # exactly n-1 raw bytes
-            out += struct.pack("<I", len(by_symbol))
-            for sym in sorted(by_symbol):
-                out += struct.pack("<BQ", sym, by_symbol[sym])
+        out += struct.pack("<I", len(starts))
+        for lo, hi in zip(starts, starts[1:] + [len(codes)]):
+            out += int(contexts[lo]).to_bytes(n - 1, "big")  # exactly n-1 raw bytes
+            out += struct.pack("<I", hi - lo)
+            out += records[lo:hi].tobytes()
     Path(file).write_bytes(bytes(out))
 
 
 def load_models(file) -> tuple[dict[WeaknessClass, NGramModel], str]:
-    buf = memoryview(Path(file).read_bytes())
-    if bytes(buf[:4]) != MAGIC:
-        raise ModelFormatError(f"{file}: bad magic (expected CWNM)")
-    version, n, vocab = struct.unpack_from("<HII", buf, 4)
-    if version != FORMAT_VERSION:
-        raise ModelFormatError(f"{file}: unsupported version {version}")
-    off = 4 + 10
-    config_hash, off = _unpack_str(buf, off)
-    (n_models,) = struct.unpack_from("<I", buf, off)
-    off += 4
-    models: dict[WeaknessClass, NGramModel] = {}
-    for _ in range(n_models):
-        kind, off = _unpack_str(buf, off)
-        class_id, off = _unpack_str(buf, off)
-        wc = WeaknessClass(kind, class_id)
-        (n_contexts,) = struct.unpack_from("<I", buf, off)
+    with _model_buffer(file) as buf:
+        if bytes(buf[:4]) != MAGIC:
+            raise ModelFormatError(f"{file}: bad magic (expected CWNM)")
+        version, n, vocab = struct.unpack_from("<HII", buf, 4)
+        if version != FORMAT_VERSION:
+            raise ModelFormatError(f"{file}: unsupported version {version}")
+        off = 4 + 10
+        config_hash, off = _unpack_str(buf, off)
+        (n_models,) = struct.unpack_from("<I", buf, off)
         off += 4
-        model = NGramModel(n=n, label=wc, vocab_size=vocab)
-        codes, counts = [], []
-        for _ in range(n_contexts):
-            ctx = int.from_bytes(buf[off: off + n - 1], "big")
-            off += n - 1
-            (n_symbols,) = struct.unpack_from("<I", buf, off)
+        models: dict[WeaknessClass, NGramModel] = {}
+        for _ in range(n_models):
+            kind, off = _unpack_str(buf, off)
+            class_id, off = _unpack_str(buf, off)
+            wc = WeaknessClass(kind, class_id)
+            (n_contexts,) = struct.unpack_from("<I", buf, off)
             off += 4
-            for _ in range(n_symbols):
-                sym, count = struct.unpack_from("<BQ", buf, off)
-                off += 9
-                codes.append(ctx << 8 | sym)
-                counts.append(count)
-        model.add_counts(np.array(codes, dtype=np.int64),
-                         np.array(counts, dtype=np.int64))
-        models[wc] = model
-    return models, config_hash
+            model = NGramModel(n=n, label=wc, vocab_size=vocab)
+            for _ in range(n_contexts):
+                ctx, n_symbols = struct.unpack_from(f"<{n - 1}sI", buf, off)
+                off += n + 3
+                records = np.frombuffer(buf, dtype=RECORD, count=n_symbols, offset=off)
+                off += records.nbytes
+                model.add_counts(int.from_bytes(ctx, "big") << 8
+                                 | records["symbol"].astype(np.int64),
+                                 records["count"].astype(np.int64))
+            models[wc] = model
+        return models, config_hash

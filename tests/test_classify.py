@@ -209,6 +209,16 @@ class TestPersistence:
         with pytest.raises(ModelFormatError):
             load_training_set(bad)
 
+    def test_every_cut_is_a_format_error(self, tmp_path):
+        target = tmp_path / "model.cwts"
+        save_training_set(train([(CWE20, fv(0.5, 1.5)), (CWE119, fv(-1, 2))],
+                                "mean", config_hash="abc123"), target)
+        whole = target.read_bytes()
+        for cut in range(len(whole)):
+            target.write_bytes(whole[:cut])
+            with pytest.raises(ModelFormatError, match="model.cwts"):
+                load_training_set(target)
+
     def test_training_set_requires_hash(self):
         with pytest.raises(ValueError):
             TrainingSet({}, "")

@@ -92,6 +92,18 @@ class TestTrainTest:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_model_cut_short_exits_1(self, corpus, capsys):
+        root, train_xml, test_xml, base = corpus
+        model = base / "model.cwnm"
+        flags = ["-cweid", "-nopreprep", "-char", "-bigram", "-mle"]
+        assert run_cli(["train", "--index", train_xml, "--root", root,
+                        "--model", model, *flags]) == 0
+        model.write_bytes(model.read_bytes()[:-5])
+        code = run_cli(["test", "--index", test_xml, "--root", root,
+                        "--model", model, "--out", base / "out", *flags])
+        assert code == 1
+        assert f"error: {model}: truncated" in capsys.readouterr().err
+
     def test_missing_index_exits_2(self, corpus):
         root, _, _, base = corpus
         code = run_cli(["train", "--index", base / "absent.xml",

@@ -1,3 +1,4 @@
+import socket
 import threading
 import time
 
@@ -5,8 +6,9 @@ import pytest
 
 from codewave.dnet import (COMPUTED, PENDING, DemandStore,
                            DemandStoreServer, StoreClient, content_digest,
-                           deposit_demand, deserialize_result, run_generator,
-                           run_worker, serialize_result, signature_for)
+                           deposit_demand, deserialize_result, recv_message,
+                           run_generator, run_worker, send_message,
+                           serialize_result, signature_for)
 from codewave.engine import PipelineConfig, train_case
 from codewave.engine import test_case as classify_case
 from codewave.errors import ProtocolError, TransportError
@@ -135,6 +137,22 @@ class TestWireProtocol:
             with StoreClient(host, port) as client:
                 with pytest.raises(ProtocolError):
                     client.deposit_result("ghost", "w1", RESULT)
+
+    @pytest.mark.parametrize("body", [
+        b"[1, 2]", b'"DEPOSIT"', b"null", b"{not json", b"\xff\xfe",
+        b'{"type": "DEPOSIT", "signature": "s1", "payload": ["a.c"]}',
+        b'{"type": "DEPOSIT", "payload": {"path": "a.c"}}',
+        b'{"type": "DEPOSIT", "signature": 7, "payload": {"path": "a.c"}}',
+    ])
+    def test_malformed_frame_gets_error_and_connection_lives(self, body):
+        with DemandStoreServer() as server:
+            with socket.create_connection(server.address, timeout=10) as sock:
+                sock.sendall(len(body).to_bytes(4, "big") + body)
+                assert recv_message(sock)["type"] == "ERROR"
+                send_message(sock, {"type": "DEPOSIT", "signature": "s2",
+                                    "payload": {"path": "b.c"}})
+                assert recv_message(sock)["payload"] == {"state": PENDING}
+            assert list(server.store.demands) == ["s2"]
 
     def test_unreachable_store_is_transport_error(self):
         with pytest.raises(TransportError):

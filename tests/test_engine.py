@@ -1,9 +1,11 @@
+import dataclasses
 import math
 import os
+import warnings
 from decimal import Decimal
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from codewave import engine
@@ -19,7 +21,7 @@ from codewave.errors import ConfigError
 from codewave.index import IndexEntry, WeaknessClass
 from codewave.index import TestCaseIndex as CaseIndex
 from codewave.nlp import SMOOTHINGS
-from codewave.preprocess import SCALING
+from codewave.preprocess import SCALING, ShortSignalWarning
 
 CWE20 = WeaknessClass.cwe("CWE-20")
 CWE79 = WeaknessClass.cwe("CWE-79")
@@ -189,7 +191,7 @@ class TestOptionStrings:
         "-low=0", "-low=1.5", "-low=nan", "-sdwt=db4", "-sdwt=haar:0",
         "-mink=0.5", "-mink=nan", "-mink=inf", "-hamming=-1", "-diff=nan",
         "-threshold=-1", "-threshold=nan", "-char -add-delta=0",
-        "-raw=1", "-threshold",
+        "-raw=1", "-threshold", "-threshold=1 -threshold=2",
     ])
     def test_bad_parameters_rejected(self, text):
         with pytest.raises(ConfigError):
@@ -215,6 +217,21 @@ def tiny_corpus(tmp_path):
 
 
 SIGNAL_CFG = PipelineConfig(class_kind="cwe", fft_window=64, fft_bins=32)
+
+
+# the corpus fixture is only read, so every drawn config may share it
+@settings(deadline=None, max_examples=30,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cfg=valid_configs())
+def test_every_drawn_config_runs_end_to_end(tiny_corpus, cfg):
+    root, index = tiny_corpus
+    cfg = dataclasses.replace(cfg, class_kind="cwe")  # the corpus's classes
+    with warnings.catch_warnings():
+        # a wavelet with more levels than a 256-byte file has samples for
+        # leaves the signal as it is, and says so
+        warnings.simplefilter("ignore", ShortSignalWarning)
+        found, _, _ = run_once(index, index.with_mode("test"), cfg, root)
+    assert all(w.config == cfg.option_string for w in found)
 
 
 class TestTrainCase:

@@ -312,6 +312,16 @@ class TestPersistence:
         with pytest.raises(ModelFormatError):
             load_models(bad)
 
+    def test_every_cut_is_a_format_error(self, tmp_path):
+        target = tmp_path / "models.cwnm"
+        save_models({CWE20: train_model(b"abcab", 3, CWE20),
+                     CWE119: train_model(b"xyzzy", 3, CWE119)}, target, "c0ffee")
+        whole = target.read_bytes()
+        for cut in range(len(whole)):
+            target.write_bytes(whole[:cut])
+            with pytest.raises(ModelFormatError, match="models.cwnm"):
+                load_models(target)
+
     def test_mixed_n_rejected(self, tmp_path):
         models = {CWE20: train_model(b"aa", 1), CWE119: train_model(b"ab", 2)}
         with pytest.raises(ConfigError):
