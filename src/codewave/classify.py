@@ -128,7 +128,18 @@ def distances(X, C, metric: str = "eucl", p: float = 3.0,
         elif metric == "cheb":
             out[:, k] = np.max(delta, axis=1, initial=0.0)
         elif metric == "mink":
-            out[:, k] = np.sum(delta ** p, axis=1) ** (1.0 / p)
+            with np.errstate(over="ignore"):
+                column = np.sum(delta ** p, axis=1) ** (1.0 / p)
+            # where the powers overflowed, or all underflowed to 0, scale
+            # the row by its largest difference first (finite nonzero rows
+            # keep the plain form's bits)
+            redo = np.flatnonzero(np.isinf(column) | (column == 0.0))
+            if len(redo):
+                m = np.max(delta[redo], axis=1, initial=0.0)
+                redo, m = redo[m > 0.0], m[m > 0.0]
+                column[redo] = m * np.sum((delta[redo] / m[:, np.newaxis]) ** p,
+                                          axis=1) ** (1.0 / p)
+            out[:, k] = column
         elif metric == "hamming":
             out[:, k] = np.count_nonzero(delta > tol, axis=1)
         else:

@@ -27,8 +27,8 @@ from .engine import (PipelineConfig, default_grid, is_pipeline_flag,
                      sweep, test_case, train_case)
 from .errors import CodewaveError, ConfigError, TransportError
 from .index import load_index
-from .loader import load_signal
-from .preprocess import preprocess
+from .loader import samples_from_bytes
+from .preprocess import preprocess_rows
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -154,16 +154,17 @@ def _write_reports(warnings, cfg: PipelineConfig, index, out_dir: Path,
     if cfg.spectrogram or cfg.graph:
         image_dir = out_dir / "images"
         for entry in index.entries:
-            sig = preprocess(load_signal(root / entry.path, cfg.loader_ngram),
-                             cfg.filter_spec())
+            samples = samples_from_bytes((root / entry.path).read_bytes(),
+                                         cfg.loader_ngram)
+            rows, _ = preprocess_rows(samples[None], cfg.filter_spec())
             mangled = entry.path.replace("/", "_")
             if cfg.spectrogram:
                 path = image_dir / f"{mangled}-spectrogram.pgm"
-                _atomic_write(path, report.export_spectrogram(sig))
+                _atomic_write(path, report.export_spectrogram(rows[0]))
                 written.append(path)
             if cfg.graph:
                 path = image_dir / f"{mangled}-wave.pgm"
-                _atomic_write(path, report.export_wave_image(sig))
+                _atomic_write(path, report.export_wave_image(rows[0]))
                 written.append(path)
     return written
 
@@ -188,7 +189,7 @@ def _cmd_test(ns, cfg: PipelineConfig) -> int:
     _check_hash(stored_hash, cfg)
     if ns.store:
         host, port = _parse_store(ns.store)
-        warnings = dnet.run_generator(host, port, index, cfg, ns.root)
+        warnings = dnet.run_generator(host, port, index, model, cfg, ns.root)
     else:
         warnings = test_case(index, model, cfg, ns.root, jobs=ns.jobs)
     written = _write_reports(warnings, cfg, index, Path(ns.out), ns.stamp,

@@ -1,11 +1,12 @@
 """Demand-driven distributed evaluation.
 
 A generator deposits one demand per file to scan into a demand store;
-workers pick up pending demands, classify the file against their local
-model, and deposit the ranked result back under the same signature; the
-generator harvests computed results and assembles the very same report a
-monolithic run would have produced. Results are cached by signature, so
-re-depositing already-computed work returns instantly.
+workers pick up pending demands, score the file against their local model,
+and deposit its score row back under the same signature; the generator
+harvests the rows and thresholds them with `test_case`'s own function, so
+it assembles the very same report a monolithic run would have produced.
+Results are cached by signature, so re-depositing already-computed work
+returns instantly.
 
 Training is not distributed: workers are assumed to hold the training set
 and the test files locally, and their pipeline configuration is fixed
@@ -25,13 +26,15 @@ import socketserver
 import threading
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Optional
 
-from .classify import ResultSet
-from .engine import ModelType, PipelineConfig, ScanWarning, classify_bytes, \
-    warning_from_result
+import numpy as np
+
+from . import engine
+from .engine import ModelType, PipelineConfig, ScanWarning
 from .errors import ProtocolError, TransportError
-from .index import TestCaseIndex, WeaknessClass
+from .index import TestCaseIndex
 
 log = logging.getLogger(__name__)
 
@@ -40,8 +43,6 @@ IN_PROGRESS = "in_progress"
 COMPUTED = "computed"
 
 DEFAULT_LEASE = 60.0
-
-RankedPayload = list[list]  # [[kind, id, score], ...]
 
 
 def signature_for(case: str, path: str, option_string: str,
@@ -56,22 +57,13 @@ def content_digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def serialize_result(result: ResultSet) -> RankedPayload:
-    return [[wc.kind, wc.id, score] for wc, score in result.ranked]
-
-
-def deserialize_result(payload: RankedPayload) -> ResultSet:
-    return ResultSet([(WeaknessClass(kind, cid), score)
-                      for kind, cid, score in payload])
-
-
 @dataclass
 class Demand:
     signature: str
     path: str
     content_kind: str = "source"
     state: str = PENDING
-    result: Optional[RankedPayload] = None
+    result: Optional[list] = None  # stored as the worker sent it
     worker: Optional[str] = None
     lease_expiry: Optional[float] = None
 
@@ -136,7 +128,7 @@ class DemandStore:
             return None
 
     def deposit_result(self, signature: str, worker_id: str,
-                       result: RankedPayload) -> str:
+                       result: list) -> str:
         """Store a computed result; the first writer wins.
 
         Late duplicates with the same value are acknowledged as duplicates;
@@ -160,7 +152,7 @@ class DemandStore:
             demand.lease_expiry = None
             return "stored"
 
-    def harvest(self, signatures: list[str]) -> dict[str, RankedPayload]:
+    def harvest(self, signatures: list[str]) -> dict[str, list]:
         """Return the subset of requested results that are computed."""
         with self._lock:
             return {
@@ -230,9 +222,10 @@ class _StoreHandler(socketserver.BaseRequestHandler):
         payload = message.get("payload") or {}
         if not isinstance(payload, dict):
             raise ProtocolError("message payload must be a JSON object")
+        if kind in ("DEPOSIT", "RESULT") and not (
+                isinstance(signature, str) and signature):
+            raise ProtocolError(f"{kind} needs a signature string")
         if kind == "DEPOSIT":
-            if not isinstance(signature, str) or not signature:
-                raise ProtocolError("DEPOSIT needs a signature string")
             state = store.deposit(signature, payload.get("path", ""),
                                   payload.get("content_kind", "source"))
             return {"type": "ACK", "signature": signature,
@@ -251,7 +244,11 @@ class _StoreHandler(socketserver.BaseRequestHandler):
             return {"type": "ACK", "signature": signature,
                     "payload": {"status": status}}
         if kind == "HARVEST":
-            computed = store.harvest(payload.get("signatures", []))
+            signatures = payload.get("signatures", [])
+            if not (isinstance(signatures, list)
+                    and all(isinstance(s, str) for s in signatures)):
+                raise ProtocolError("HARVEST needs a list of signature strings")
+            computed = store.harvest(signatures)
             counts = store.counts()
             return {"type": "ACK", "signature": None,
                     "payload": {"computed": computed,
@@ -347,13 +344,13 @@ class StoreClient:
         return reply["signature"], payload["path"], payload["content_kind"]
 
     def deposit_result(self, signature: str, worker_id: str,
-                       result: RankedPayload) -> str:
+                       result: list) -> str:
         reply = self._call({"type": "RESULT", "signature": signature,
                             "payload": {"worker_id": worker_id,
                                         "result": result}})
         return reply["payload"]["status"]
 
-    def harvest(self, signatures: list[str]) -> dict[str, RankedPayload]:
+    def harvest(self, signatures: list[str]) -> dict[str, list]:
         reply = self._call({"type": "HARVEST",
                             "payload": {"signatures": signatures}})
         return reply["payload"]["computed"]
@@ -364,7 +361,9 @@ class StoreClient:
 def run_worker(host: str, port: int, model: ModelType, cfg: PipelineConfig,
                root, worker_id: str, poll_interval: float = 0.05,
                idle_limit: Optional[int] = None, throttle: float = 0.0) -> int:
-    """Classify demands until told to stop.
+    """Score demands until told to stop; each result is the file's row of
+    `test_case`'s score matrix. A model that does not fit `cfg` raises
+    ConfigError before anything is leased.
 
     Returns the number of results deposited. With `idle_limit` set, the
     worker exits after that many consecutive empty pickups (used by batch
@@ -372,8 +371,7 @@ def run_worker(host: str, port: int, model: ModelType, cfg: PipelineConfig,
     sleeps that many seconds per demand, which keeps a worker slow enough
     to watch lease recovery in action.
     """
-    from pathlib import Path
-
+    classes = engine._model_classes(model, cfg)
     done = 0
     idle = 0
     with StoreClient(host, port) as client:
@@ -389,49 +387,49 @@ def run_worker(host: str, port: int, model: ModelType, cfg: PipelineConfig,
             signature, path, _kind = item
             if throttle:
                 time.sleep(throttle)
-            data = (Path(root) / path).read_bytes()
-            result = classify_bytes(data, model, cfg)
-            client.deposit_result(signature, worker_id,
-                                  serialize_result(result))
+            row = engine._scores(cfg, model, classes, root, [path])[0]
+            client.deposit_result(signature, worker_id, row.tolist())
             done += 1
 
 
 def run_generator(host: str, port: int, index: TestCaseIndex,
-                  cfg: PipelineConfig, root,
+                  model: ModelType, cfg: PipelineConfig, root,
                   poll_interval: float = 0.05,
                   timeout: float = 300.0) -> list[ScanWarning]:
-    """Deposit one demand per index entry, wait for all results, and apply
-    the same thresholding a monolithic test run uses.
+    """Deposit one demand per index entry, wait for all score rows, and
+    threshold them with the function a monolithic test run ends with.
 
     The returned warnings are byte-for-byte the ones a local `test_case`
-    call would produce for the same corpus, model, and configuration.
+    call would produce for the same corpus, model, and configuration. A
+    harvested row of the wrong length raises ProtocolError.
     """
-    from pathlib import Path
-
-    expected: list[tuple[str, str]] = []  # (signature, path) in index order
+    classes = engine._model_classes(model, cfg)
+    paths = [entry.path for entry in index.entries]
+    signatures = []  # in index order
     config = cfg.option_string
     with StoreClient(host, port) as client:
         for entry in index.entries:
             digest = content_digest((Path(root) / entry.path).read_bytes())
             signature = signature_for(index.case_name, entry.path, config, digest)
             client.deposit(signature, entry.path, entry.content_kind)
-            expected.append((signature, entry.path))
-        signatures = [s for s, _ in expected]
+            signatures.append(signature)
+        wanted = len(set(signatures))
         deadline = time.monotonic() + timeout
-        harvested: dict[str, RankedPayload] = {}
-        while len(harvested) < len(set(signatures)):
+        while True:
             harvested = client.harvest(signatures)
-            if len(harvested) >= len(set(signatures)):
+            if len(harvested) >= wanted:
                 break
             if time.monotonic() > deadline:
                 raise TransportError(
                     f"distributed run timed out with "
-                    f"{len(set(signatures)) - len(harvested)} results missing")
+                    f"{wanted - len(harvested)} results missing")
             time.sleep(poll_interval)
-    warnings = []
-    for signature, path in expected:
-        result = deserialize_result(harvested[signature])
-        warning = warning_from_result(path, result, cfg)
-        if warning is not None:
-            warnings.append(warning)
-    return warnings
+    rows = [harvested[s] for s in signatures]
+    if not all(isinstance(row, list) and len(row) == len(classes) for row in rows):
+        raise ProtocolError(
+            f"a harvested result is not one score per class ({len(classes)})")
+    try:
+        scores = np.array(rows, dtype=np.float64).reshape(len(rows), len(classes))
+    except (TypeError, ValueError):
+        raise ProtocolError("a harvested score is not a number") from None
+    return engine._warnings(paths, classes, scores, cfg)

@@ -23,15 +23,14 @@ import numpy as np
 
 from . import nlp
 from .classify import METRICS, ResultSet, TrainingSet, by_id, centroid_distances
-from .classify import classify as classify_vector
 from .classify import train as train_clusters
 from .errors import ConfigError
-# extract_* and preprocess are the one-file forms of the block functions;
-# they stay engine names so a tracer that wraps engine's per-file calls
-# still finds them
-from .features import (FeatureVector, extract_fft, extract_lpc,  # noqa: F401
-                       extract_minmax, fft_features, lpc_features,
-                       minmax_features)
+# classify_vector, extract_* and preprocess are the one-file forms of the
+# batch functions; nothing here calls them, but they stay engine names so a
+# tracer that wraps engine's per-file calls still finds them
+from .classify import classify as classify_vector  # noqa: F401
+from .features import (extract_fft, extract_lpc, extract_minmax,  # noqa: F401
+                       fft_features, lpc_features, minmax_features)
 from .index import TestCaseIndex, WeaknessClass
 from .loader import samples_from_bytes
 from .preprocess import (SCALING, FilterSpec, preprocess,  # noqa: F401
@@ -319,24 +318,6 @@ def _block_features(cfg: PipelineConfig, contents: list[bytes]) -> np.ndarray:
     if not np.all(np.isfinite(out)):
         raise ValueError("feature vector contains non-finite values")
     return out
-
-
-def feature_vector(cfg: PipelineConfig, data: bytes) -> FeatureVector:
-    """Run the signal pipeline on raw bytes: load, preprocess, extract (the
-    one-file form of the block path)."""
-    return FeatureVector(
-        _block_features(cfg, [data])[0],
-        cfg.extractor)
-
-
-def classify_bytes(data: bytes, model: ModelType, cfg: PipelineConfig) -> ResultSet:
-    """Produce the ranked class list for one file's content: the one-row
-    form of the scoring that `test_case` runs on whole batches."""
-    _model_classes(model, cfg)
-    if cfg.pipeline == "signal":
-        return classify_vector(feature_vector(cfg, data), model, cfg.metric,
-                               cfg.mink_p, cfg.tolerance)
-    return nlp.rank_models(data, model, cfg.smoothing_spec())
 
 
 # --- warnings and statistics ---------------------------------------------------
@@ -745,10 +726,10 @@ def _group_pass(train_index: TestCaseIndex, test_index: TestCaseIndex,
     """Run the pass that every config with cfg's config_hash shares and
     return the per-config step, which maps a config to its warnings.
 
-    NLP configs share one n-gram count and differ in smoothing. Signal
-    configs share one fork-join extracting each distinct train and test file
-    once (a self-test classifies the very files it trained on) and differ in
-    centroids and metric.
+    NLP configs share one n-gram count and differ in smoothing. Configs of
+    the signal pipeline share one fork-join extracting each distinct train
+    and test file once (a self-test classifies the very files it trained
+    on) and differ in centroids and metric.
     """
     if cfg.pipeline == "nlp":
         models = train_case(train_index, cfg, root)

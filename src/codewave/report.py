@@ -20,7 +20,6 @@ import numpy as np
 from .engine import RunStats, ScanWarning
 from .errors import IndexFormatError
 from .index import WeaknessClass
-from .loader import Signal
 
 
 @dataclass(frozen=True)
@@ -230,14 +229,15 @@ def _pgm(pixels: np.ndarray, comment: Optional[str] = None) -> bytes:
     return header.encode("ascii") + pixels.astype(np.uint8).tobytes()
 
 
-def export_wave_image(signal: Signal, width: int = 1024, height: int = 200,
+def export_wave_image(samples: np.ndarray, width: int = 1024, height: int = 200,
                       comment: Optional[str] = None) -> bytes:
-    """Amplitude polyline, one pixel column per bucket of samples.
+    """Amplitude polyline of a 1-D sample array, one pixel column per
+    bucket of samples.
 
     Each column spans the bucket's min..max amplitude so short spikes stay
     visible after bucketing. An empty signal renders as a 1x1 black image.
     """
-    x = signal.samples
+    x = np.asarray(samples, dtype=np.float64)
     if len(x) == 0:
         return _pgm(np.zeros((1, 1), dtype=np.uint8), comment)
     width = min(width, len(x))
@@ -256,9 +256,10 @@ def export_wave_image(signal: Signal, width: int = 1024, height: int = 200,
     return _pgm(pixels, comment)
 
 
-def export_spectrogram(signal: Signal, window: int = 256,
+def export_spectrogram(samples: np.ndarray, window: int = 256,
                        comment: Optional[str] = None) -> bytes:
-    """Log-magnitude spectrogram: columns are windows, rows are bins.
+    """Log-magnitude spectrogram of a 1-D sample array: columns are
+    windows, rows are bins.
 
     The image is exactly (window/2) rows by num_windows columns, row r being
     DFT bin r (DC at the top). Intensities are scaled so the strongest cell
@@ -266,7 +267,7 @@ def export_spectrogram(signal: Signal, window: int = 256,
     """
     if window < 2 or window & (window - 1):
         raise ValueError("window must be a power of two")
-    x = signal.samples
+    x = np.asarray(samples, dtype=np.float64)
     if len(x) == 0:
         return _pgm(np.zeros((1, 1), dtype=np.uint8), comment)
     n_windows = -(-len(x) // window)

@@ -14,6 +14,15 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 _acceptance_results = []
 
 
+def pytest_collection_modifyitems(items):
+    # a RuntimeWarning (overflow, division by zero, ...) fails the test that
+    # raised it; the mark goes on this directory's tests only
+    here = Path(__file__).parent
+    for item in items:
+        if here in item.path.parents:
+            item.add_marker(pytest.mark.filterwarnings("error::RuntimeWarning"))
+
+
 @pytest.hookimpl(hookwrapper=True)
 def pytest_runtest_makereport(item, call):
     outcome = yield

@@ -274,7 +274,7 @@ def test_criterion_10_distributed_equivalence(clean_corpus, tmp_path):
     workers = []
     try:
         workers = [_spawn_worker(address, model_file, root) for _ in range(4)]
-        distributed = dnet.run_generator(host, port, index, CFG, root,
+        distributed = dnet.run_generator(host, port, index, model, CFG, root,
                                          timeout=120)
     finally:
         for w in workers:
@@ -291,8 +291,8 @@ def test_criterion_10_distributed_equivalence(clean_corpus, tmp_path):
     harvested = {}
 
     def generate():
-        harvested["warnings"] = dnet.run_generator(host, port, index, CFG,
-                                                   root, timeout=120)
+        harvested["warnings"] = dnet.run_generator(host, port, index, model,
+                                                   CFG, root, timeout=120)
 
     try:
         victim = _spawn_worker(address, model_file, root,

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codewave import engine
-from codewave.engine import PipelineConfig, classify_bytes, feature_vector, train_case
+from codewave.engine import PipelineConfig, train_case
 from codewave.index import IndexEntry, WeaknessClass
 from codewave.index import TestCaseIndex as CaseIndex
 from codewave.preprocess import ShortSignalWarning
@@ -111,11 +111,6 @@ def test_rows_independent_of_blocks_and_chunks(tmp_path, monkeypatch, flags, job
             rows = engine._feature_rows(cfg, tmp_path, paths, jobs)
         got = np.array([rows[path] for path in paths])
         assert got.tobytes() == want.tobytes()
-    # the one-file forms the demand-store worker uses are the same rows
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ShortSignalWarning)
-        for data, row in zip(blobs, want):
-            assert feature_vector(cfg, data).values.tobytes() == row.tobytes()
 
 
 def test_training_matches_across_jobs(tmp_path, monkeypatch):
@@ -132,8 +127,9 @@ def test_training_matches_across_jobs(tmp_path, monkeypatch):
     forked = train_case(index, cfg, tmp_path, jobs=2)
     assert {wc: m.centroid.tobytes() for wc, m in serial.classes.items()} == \
         {wc: m.centroid.tobytes() for wc, m in forked.classes.items()}
-    assert classify_bytes(blobs[0], serial, cfg).ranked == \
-        classify_bytes(blobs[0], forked, cfg).ranked
+    classes = engine._model_classes(serial, cfg)
+    assert engine._scores(cfg, serial, classes, tmp_path, paths).tobytes() == \
+        engine._scores(cfg, forked, classes, tmp_path, paths).tobytes()
 
 
 def test_one_short_signal_warning_per_short_file(tmp_path):

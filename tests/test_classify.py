@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -132,6 +134,20 @@ class TestDistances:
             for i in range(len(X)):
                 assert np.array_equal(distances(X[i:i + 1], C, metric)[0], full[i])
             assert np.array_equal(distances(C, X, metric).T, full)
+
+    def test_mink_with_a_huge_exponent_ranks_by_the_chebyshev_limit(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = distances([[0.5, 2], [0.1, 0.2]], [[0, 0], [1, 1]], "mink", 1e300)
+        assert got.tolist() == [[2, 1], [0.2, 0.9]]
+
+    @pytest.mark.parametrize("p", [1.0, 2.5, 3.0, 40.0])
+    def test_mink_finite_rows_keep_the_plain_form(self, p):
+        rng = np.random.default_rng(3)
+        X, C = rng.normal(size=(9, 6)), rng.normal(size=(4, 6))
+        plain = np.array([np.sum(np.abs(X - c) ** p, axis=1) ** (1.0 / p)
+                          for c in C]).T
+        assert distances(X, C, "mink", p).tobytes() == plain.tobytes()
 
     def test_cos_zero_rows_score_one(self):
         got = distances(np.zeros((2, 3)), np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]]),

@@ -7,9 +7,10 @@ import time
 import pytest
 
 from codewave.cli import main
-from codewave.dnet import PENDING, DemandStoreServer, StoreClient, run_worker
+from codewave.dnet import (PENDING, DemandStoreServer, StoreClient, deposit_demand,
+                           run_worker)
 from codewave.engine import parse_option_tokens
-from codewave.index import write_index
+from codewave.index import load_index, write_index
 from codewave.nlp import load_models
 from codewave.report import parse_sate_xml
 
@@ -123,6 +124,46 @@ class TestTrainTest:
         reports = list((base / "nlp-reports").glob("report-*.xml"))
         assert len(reports) == 1
 
+    # image file -> SHA-256 of the PGM that `test -spectrogram -graph` writes
+    IMAGE_PINS = {
+        "c0_f000.bin-spectrogram.pgm":
+            "f75b0c3fd1c216503f82116b87281d4a02d7b5f187e0ba9917087e6b0cd359ec",
+        "c0_f000.bin-wave.pgm":
+            "cd1b7fb142e3e3b073cdb6f58e72752fff130c48f691145b3a10de3d7b97b61b",
+        "c0_f001.bin-spectrogram.pgm":
+            "6a5341abc4ed3c50c5eef62e21e4dd46514c43ce6f66266da53d2d3e4f81aa75",
+        "c0_f001.bin-wave.pgm":
+            "6c01febe0cc79a97df939d60e0d7ca87d8d909709cd9b66c11ec8c145b278d27",
+        "c0_f002.bin-spectrogram.pgm":
+            "5f15df2fc753056e2f1c4461263769c0998bb0e25e85290f94a596a21d711c6e",
+        "c0_f002.bin-wave.pgm":
+            "d0ba56168de71d18117fecf6beb7489072553a495162c03fd18a6ea5a0f23e0a",
+        "c1_f000.bin-spectrogram.pgm":
+            "a7ddb7ce1f970d06bd306a521e1bf9a523975de457292b2f0ea2ddaf41d7939f",
+        "c1_f000.bin-wave.pgm":
+            "9da434182545fc0304c9b1b2854da8ade3720b4c6d41775cee53255b82171dc7",
+        "c1_f001.bin-spectrogram.pgm":
+            "35e558cf7349d325881764a53d9c94881ae35c611d7c86d22ef336c8a4d14898",
+        "c1_f001.bin-wave.pgm":
+            "7111cf2ce70f72ee2e353bf4178cf750fbc8f532b8cb3a31c2e2dd30e5984188",
+        "c1_f002.bin-spectrogram.pgm":
+            "8183d668bd837dcefb89aeded5a7e254ca92cd91fa95ab7367c1f445fc1639cc",
+        "c1_f002.bin-wave.pgm":
+            "e717d42ae6f0106be1745ae2b4c905f1e617620ac64441b0fec459310818a83a",
+        "c2_f000.bin-spectrogram.pgm":
+            "f6a8e4d4d5b22a361d71795bcd8563e4b7194eb16a1b9221ef3abf6eef808f8b",
+        "c2_f000.bin-wave.pgm":
+            "165a0cc7cce69cd1e27e79a67cb46bd694934f6e20b104095e50566a3d42cd46",
+        "c2_f001.bin-spectrogram.pgm":
+            "c9a7dd16ed54b4b7ec81bbc2b79c709b15cbc17993997532d1e26d876175038a",
+        "c2_f001.bin-wave.pgm":
+            "1fafced9f4972ce3dfd0d254debc5d54a41aebae3ca0f7a65785980617ced9f4",
+        "c2_f002.bin-spectrogram.pgm":
+            "4b3d4fff3a48de9279d4bafe65743bde1a33d97c7aa2441145b804543312d3df",
+        "c2_f002.bin-wave.pgm":
+            "d6442411dd6c6b8071a7d1203fec1fb7a640f5ba62b2809cd87482fc1ef2da36",
+    }
+
     def test_flucid_and_images_emitted(self, corpus):
         root, train_xml, test_xml, base = corpus
         model = base / "model.cwts"
@@ -135,6 +176,8 @@ class TestTrainTest:
         assert list(out.glob("report-*.ipl"))
         images = list((out / "images").glob("*.pgm"))
         assert len(images) == 18  # 9 files x (spectrogram + wave)
+        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in images} == self.IMAGE_PINS
 
 
 class TestReportCommand:
@@ -227,6 +270,26 @@ class TestServeWork:
         finally:
             proc.kill()
             proc.wait(timeout=10)
+
+    def test_score_row_of_the_wrong_length_exits_1(self, corpus, capsys):
+        root, train_xml, test_xml, base = corpus
+        model = base / "model.cwts"
+        run_cli(["train", "--index", train_xml, "--root", root,
+                 "--model", model, *CFG_FLAGS])
+        index = load_index(test_xml)
+        cfg = parse_option_tokens(CFG_FLAGS)
+        with DemandStoreServer() as server:
+            for entry in index.entries:
+                signature, _ = deposit_demand(
+                    server.store, index.case_name, entry.path,
+                    (root / entry.path).read_bytes(), cfg)
+                server.store.pickup("w0")
+                server.store.deposit_result(signature, "w0", [0.0])
+            host, port = server.address
+            assert run_cli(["test", "--index", test_xml, "--root", root,
+                            "--model", model, "--out", base / "out",
+                            "--store", f"{host}:{port}", *CFG_FLAGS]) == 1
+        assert "one score per class" in capsys.readouterr().err
 
 
 class TestNlpReportPins:

@@ -4,14 +4,13 @@ import time
 
 import pytest
 
-from codewave.dnet import (COMPUTED, PENDING, DemandStore,
+from codewave.dnet import (COMPUTED, IN_PROGRESS, PENDING, DemandStore,
                            DemandStoreServer, StoreClient, content_digest,
-                           deposit_demand, deserialize_result, recv_message,
-                           run_generator, run_worker, send_message,
-                           serialize_result, signature_for)
+                           deposit_demand, recv_message, run_generator,
+                           run_worker, send_message, signature_for)
 from codewave.engine import PipelineConfig, train_case
 from codewave.engine import test_case as classify_case
-from codewave.errors import ProtocolError, TransportError
+from codewave.errors import ConfigError, ProtocolError, TransportError
 from codewave.index import IndexEntry, WeaknessClass
 from codewave.index import TestCaseIndex as CaseIndex
 
@@ -38,10 +37,6 @@ class TestSignatures:
         a = signature_for("case", "a.c", "-raw", content_digest(b"one"))
         b = signature_for("case", "a.c", "-raw", content_digest(b"two"))
         assert a != b
-
-    def test_result_roundtrip(self):
-        rs = deserialize_result(RESULT)
-        assert serialize_result(rs) == RESULT
 
 
 class TestDemandStore:
@@ -143,6 +138,10 @@ class TestWireProtocol:
         b'{"type": "DEPOSIT", "signature": "s1", "payload": ["a.c"]}',
         b'{"type": "DEPOSIT", "payload": {"path": "a.c"}}',
         b'{"type": "DEPOSIT", "signature": 7, "payload": {"path": "a.c"}}',
+        b'{"type": "RESULT", "payload": {"result": [0.5]}}',
+        b'{"type": "HARVEST", "payload": {"signatures": 5}}',
+        b'{"type": "HARVEST", "payload": {"signatures": "s1"}}',
+        b'{"type": "HARVEST", "payload": {"signatures": [["s1"]]}}',
     ])
     def test_malformed_frame_gets_error_and_connection_lives(self, body):
         with DemandStoreServer() as server:
@@ -198,7 +197,7 @@ class TestDistributedEquivalence:
             for w in workers:
                 w.start()
             distributed = run_generator(host, port, index.with_mode("test"),
-                                        CFG, root, timeout=30)
+                                        model, CFG, root, timeout=30)
             for w in workers:
                 w.join(timeout=10)
         assert distributed == monolithic
@@ -212,10 +211,41 @@ class TestDistributedEquivalence:
                 target=run_worker, args=(host, port, model, CFG, root, "w0"),
                 kwargs={"idle_limit": 60, "poll_interval": 0.01}, daemon=True)
             worker.start()
-            first = run_generator(host, port, index.with_mode("test"), CFG,
-                                  root, timeout=30)
+            first = run_generator(host, port, index.with_mode("test"), model,
+                                  CFG, root, timeout=30)
             worker.join(timeout=10)
             # no workers alive: the second pass must be served from cache
-            second = run_generator(host, port, index.with_mode("test"), CFG,
-                                   root, timeout=5)
+            second = run_generator(host, port, index.with_mode("test"), model,
+                                   CFG, root, timeout=5)
         assert first == second
+
+
+class TestRefusals:
+    def test_worker_with_a_model_of_other_flags_leases_nothing(self, corpus):
+        root, index = corpus
+        model = train_case(index, CFG, root)
+        with DemandStoreServer() as server:
+            server.store.deposit("sig1", "c0_0.bin")
+            host, port = server.address
+            with pytest.raises(ConfigError):
+                run_worker(host, port, model, PipelineConfig(class_kind="cwe"),
+                           root, "w0", idle_limit=1)
+            assert server.store.counts()[IN_PROGRESS] == 0
+            assert server.store.counts()[PENDING] == 1
+
+    @pytest.mark.parametrize("row", [[0.0, 1.0], [0.0, {}, 1.0], [0.0, [1.0], 2.0]])
+    def test_harvested_row_not_one_score_per_class_is_protocol_error(
+            self, corpus, row):
+        root, index = corpus
+        index = index.with_mode("test")
+        model = train_case(index.with_mode("train"), CFG, root)
+        with DemandStoreServer() as server:
+            for entry in index.entries:
+                signature, _ = deposit_demand(
+                    server.store, index.case_name, entry.path,
+                    (root / entry.path).read_bytes(), CFG)
+                server.store.pickup("w0")
+                server.store.deposit_result(signature, "w0", row)
+            host, port = server.address
+            with pytest.raises(ProtocolError):
+                run_generator(host, port, index, model, CFG, root, timeout=5)

@@ -4,7 +4,6 @@ import pytest
 from codewave.engine import RunStats, ScanWarning, StatsRow
 from codewave.errors import IndexFormatError
 from codewave.index import WeaknessClass
-from codewave.loader import Signal
 from codewave.report import (CaseMeta, export_forensic_lucid, export_sate_xml,
                              export_spectrogram, export_stats_table,
                              export_wave_image, parse_sate_xml,
@@ -148,16 +147,16 @@ def parse_pgm(data: bytes):
 class TestImages:
     def test_empty_signal_single_black_pixel(self):
         for exporter in (export_wave_image, export_spectrogram):
-            pixels = parse_pgm(exporter(Signal(np.zeros(0))))
+            pixels = parse_pgm(exporter(np.zeros(0)))
             assert pixels.shape == (1, 1)
             assert pixels[0, 0] == 0
 
     def test_zero_signal_black_spectrogram(self):
-        pixels = parse_pgm(export_spectrogram(Signal(np.zeros(1024)), 256))
+        pixels = parse_pgm(export_spectrogram(np.zeros(1024), 256))
         assert int(pixels.max()) == 0
 
     def test_spectrogram_dimensions_exact(self):
-        sig = Signal(np.ones(1000))
+        sig = np.ones(1000)
         pixels = parse_pgm(export_spectrogram(sig, 256))
         assert pixels.shape == (128, 4)  # window/2 rows x num_windows cols
 
@@ -165,7 +164,7 @@ class TestImages:
         window = 128
         t = np.arange(window * 4)
         x = np.sin(2 * np.pi * 12 * t / window)
-        pixels = parse_pgm(export_spectrogram(Signal(x), window))
+        pixels = parse_pgm(export_spectrogram(x, window))
         oracle_bin = int(np.argmax(np.abs(naive_dft(x[:window]))[: window // 2]))
         assert oracle_bin == 12
         row_energy = pixels.astype(int).sum(axis=1)
@@ -173,16 +172,16 @@ class TestImages:
 
     def test_nonzero_signal_hits_full_white(self):
         rng = np.random.default_rng(2)
-        sig = Signal(rng.uniform(-1, 1, size=600))
+        sig = rng.uniform(-1, 1, size=600)
         pixels = parse_pgm(export_spectrogram(sig, 128))
         assert int(pixels.max()) == 255
 
     def test_wave_image_column_count(self):
-        sig = Signal(np.linspace(-1, 1, 300))
+        sig = np.linspace(-1, 1, 300)
         pixels = parse_pgm(export_wave_image(sig, width=100, height=50))
         assert pixels.shape == (50, 100)
         assert int(pixels.max()) == 255
 
     def test_spectrogram_window_must_be_power_of_two(self):
         with pytest.raises(ValueError):
-            export_spectrogram(Signal(np.zeros(10)), 100)
+            export_spectrogram(np.zeros(10), 100)
