@@ -125,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="exit after N consecutive empty pickups")
     p_work.add_argument("--throttle", type=float, default=0.0,
                         help="sleep this many seconds per demand (debugging)")
-    common(p_work)
+    p_work.add_argument("--root", default=".", help="corpus root directory")
 
     p_report = sub.add_parser(
         "report", help="score an existing XML report against ground truth")
@@ -156,7 +156,7 @@ def _write_reports(warnings, cfg: PipelineConfig, index, out_dir: Path,
         for entry in index.entries:
             samples = samples_from_bytes((root / entry.path).read_bytes(),
                                          cfg.loader_ngram)
-            rows, _ = preprocess_rows(samples[None], cfg.filter_spec())
+            rows = preprocess_rows(samples[None], cfg.filter_spec())
             mangled = entry.path.replace("/", "_")
             if cfg.spectrogram:
                 path = image_dir / f"{mangled}-spectrogram.pgm"

@@ -34,7 +34,7 @@ import numpy as np
 from . import engine
 from .engine import ModelType, PipelineConfig, ScanWarning
 from .errors import ProtocolError, TransportError
-from .index import TestCaseIndex
+from .index import TestCaseIndex, check_corpus_path
 
 log = logging.getLogger(__name__)
 
@@ -385,6 +385,10 @@ def run_worker(host: str, port: int, model: ModelType, cfg: PipelineConfig,
                 continue
             idle = 0
             signature, path, _kind = item
+            try:
+                check_corpus_path(path)
+            except ValueError as exc:
+                raise ProtocolError(f"demand {signature[:12]}: {exc}") from None
             if throttle:
                 time.sleep(throttle)
             row = engine._scores(cfg, model, classes, root, [path])[0]
@@ -428,8 +432,12 @@ def run_generator(host: str, port: int, index: TestCaseIndex,
     if not all(isinstance(row, list) and len(row) == len(classes) for row in rows):
         raise ProtocolError(
             f"a harvested result is not one score per class ({len(classes)})")
+    # JSON null, true and strings are not scores; Infinity is (an MLE n-gram
+    # model gives it to content it has never seen)
+    if not all(type(v) in (int, float) for row in rows for v in row):
+        raise ProtocolError("a harvested score is not a number")
     try:
         scores = np.array(rows, dtype=np.float64).reshape(len(rows), len(classes))
-    except (TypeError, ValueError):
-        raise ProtocolError("a harvested score is not a number") from None
+    except OverflowError:
+        raise ProtocolError("a harvested score is out of range") from None
     return engine._warnings(paths, classes, scores, cfg)

@@ -67,7 +67,6 @@ class PipelineConfig:
     nlp_n: int = 1
     smoothing: str = "add_delta"     # mle | add_delta | witten_bell
     delta: float = 1.0
-    vocab_size: int = 256
     threshold: float = math.inf      # accept a warning when top-1 score <= this
     flucid: bool = False
     spectrogram: bool = False
@@ -146,7 +145,7 @@ class PipelineConfig:
                      *self._tokens(("preprocessing", "extractor"))]
         else:
             parts = ["nlp", self.class_kind, str(self.nlp_n),
-                     f"V={self.vocab_size}"]
+                     f"V={nlp.VOCAB_SIZE}"]
         return hashlib.sha256("|".join(parts).encode("utf-8")).hexdigest()[:16]
 
     def filter_spec(self) -> FilterSpec:
@@ -308,11 +307,11 @@ def _block_features(cfg: PipelineConfig, contents: list[bytes]) -> np.ndarray:
                    for i in members]
         rows = samples[0][np.newaxis] if len(members) == 1 else np.stack(samples)
         del samples
-        rows, stride2 = preprocess_rows(rows, spec)
+        rows = preprocess_rows(rows, spec)
         if cfg.extractor == "fft":
             out[members] = fft_features(rows, cfg.fft_window, cfg.fft_bins)
         elif cfg.extractor == "lpc":
-            out[members] = lpc_features(rows, cfg.lpc_order, stride2)
+            out[members] = lpc_features(rows, cfg.lpc_order)
         else:
             out[members] = minmax_features(rows, cfg.minmax_d)
     if not np.all(np.isfinite(out)):
@@ -331,7 +330,6 @@ class ScanWarning:
     score: float
     rank: int = 1
     second_guess: Optional[WeaknessClass] = None
-    config: str = ""
 
     def __post_init__(self):
         if self.rank < 1:
@@ -350,7 +348,7 @@ def warning_from_result(path: str, result: ResultSet,
         return None
     second = result.ranked[1][0] if len(result.ranked) > 1 else None
     return ScanWarning(path=path, weakness=top, score=score, rank=1,
-                       second_guess=second, config=cfg.option_string)
+                       second_guess=second)
 
 
 def precision_pct(good: int, bad: int) -> Decimal:
@@ -677,8 +675,7 @@ def train_case(index: TestCaseIndex, cfg: PipelineConfig, root,
     for (_, classes), data in zip(labeled, _contents(root, paths)):
         counted = nlp.ngram_counts(data, cfg.nlp_n)  # once per file
         for wc in classes:
-            model = models.setdefault(wc, nlp.NGramModel(
-                n=cfg.nlp_n, label=wc, vocab_size=cfg.vocab_size))
+            model = models.setdefault(wc, nlp.NGramModel(n=cfg.nlp_n, label=wc))
             model.add_counts(*counted)
     return models
 

@@ -120,21 +120,12 @@ def extract_lpc(signal: Signal, order: int = 20, d: int | None = None) -> Featur
     return FeatureVector(values, "lpc")
 
 
-def lpc_features(rows: np.ndarray, order: int = 20,
-                 stride2: np.ndarray | None = None) -> np.ndarray:
+def lpc_features(rows: np.ndarray, order: int = 20) -> np.ndarray:
     """Linear-prediction coefficients of each row by the autocorrelation
-    method: one autocorrelation over all rows, one recursion per row.
-
-    Rows marked in `stride2` are correlated as stride-2 vectors, the layout
-    their one-row form had (see `preprocess.preprocess_rows`).
-    """
+    method: one autocorrelation over all rows, one recursion per row."""
     if order < 1:
         raise ConfigError("lpc order must be >= 1")
     r = autocorrelation(rows, order)
-    if stride2 is not None and stride2.any():
-        spread = np.empty((int(stride2.sum()), 2 * rows.shape[1]))
-        spread[:, ::2] = rows[stride2]
-        r[stride2] = autocorrelation(spread[:, ::2], order)
     return np.array([levinson_durbin(lags, order)[0] for lags in r]
                     ).reshape(len(rows), order)
 

@@ -79,6 +79,15 @@ class Annotation:
         )
 
 
+def check_corpus_path(path: str) -> None:
+    """Raise ValueError unless `path` names a file under the corpus root:
+    non-empty, relative, and with no `..` component."""
+    if not path:
+        raise ValueError("entry path must be non-empty")
+    if path.startswith("/") or ".." in path.split("/"):
+        raise ValueError(f"entry path {path!r} leaves the corpus root")
+
+
 @dataclass
 class IndexEntry:
     """One file, with zero or more weakness classes and their annotations."""
@@ -88,8 +97,7 @@ class IndexEntry:
     content_kind: str = "source"  # "source" | "binary"
 
     def __post_init__(self):
-        if not self.path:
-            raise ValueError("entry path must be non-empty")
+        check_corpus_path(self.path)
         if self.content_kind not in ("source", "binary"):
             raise ValueError(f"unknown content kind {self.content_kind!r}")
 
@@ -322,7 +330,10 @@ def load_index(file) -> TestCaseIndex:
                         f"{file}: unexpected element <{ann_el.tag}> in {path!r}")
                 anns.append(_parse_ann(ann_el, path, file, kind))
             classes.append((wc, anns))
-        entries.append(IndexEntry(path, classes, content_kind=kind))
+        try:
+            entries.append(IndexEntry(path, classes, content_kind=kind))
+        except ValueError as exc:
+            raise IndexFormatError(f"{file}: {exc}") from exc
     try:
         return TestCaseIndex(root.get("case", ""), root.get("version", ""),
                              entries, mode)

@@ -35,6 +35,7 @@ MAGIC = b"CWNM"
 FORMAT_VERSION = 1
 
 SMOOTHINGS = ("mle", "add_delta", "witten_bell")
+VOCAB_SIZE = 256  # every byte value is a symbol
 
 # one symbol of a context in a CWNM file: u8 symbol, u64 count, packed
 RECORD = np.dtype([("symbol", "u1"), ("count", "<u8")])
@@ -77,7 +78,7 @@ class NGramModel:
 
     n: int
     label: WeaknessClass | None = None
-    vocab_size: int = 256
+    vocab_size: int = VOCAB_SIZE
 
     def __post_init__(self):
         if self.n not in (1, 2, 3):
@@ -154,7 +155,7 @@ class NGramModel:
 
 
 def train_model(data: bytes, n: int, label: WeaknessClass | None = None,
-                vocab_size: int = 256) -> NGramModel:
+                vocab_size: int = VOCAB_SIZE) -> NGramModel:
     model = NGramModel(n=n, label=label, vocab_size=vocab_size)
     model.update(data)
     return model

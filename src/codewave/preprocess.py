@@ -77,11 +77,10 @@ class FilterSpec:
 def fft_low_pass(samples, cutoff_fraction: float) -> np.ndarray:
     """Zero every DFT bin above the cutoff and transform back.
 
-    The input is zero-padded to a power of two, bins with index above
-    floor(cutoff_fraction * N/2) are zeroed along with their mirror images,
-    and the inverse transform is truncated to the original length. The
-    leftover imaginary part (rounding noise well below 1e-9) is discarded.
-    Works along the last axis, so a 2-D array is filtered row by row.
+    The input is zero-padded to a power of two and goes through a real FFT
+    pair: bins with index above floor(cutoff_fraction * N/2) are zeroed and
+    the inverse transform is truncated to the original length. Works along
+    the last axis, so a 2-D array is filtered row by row.
     """
     x = np.asarray(samples, dtype=np.float64)
     if not 0.0 < cutoff_fraction <= 1.0:
@@ -90,11 +89,9 @@ def fft_low_pass(samples, cutoff_fraction: float) -> np.ndarray:
     if n == 0:
         return x.copy()
     size = 1 << max(0, (n - 1)).bit_length()
-    spectrum = np.fft.fft(x, size, axis=-1)
-    cut = int(cutoff_fraction * (size // 2) + 1e-9)
-    k = np.arange(size)
-    spectrum[..., (k > cut) & (k < size - cut)] = 0.0
-    return np.fft.ifft(spectrum, axis=-1)[..., :n].real
+    spectrum = np.fft.rfft(x, size, axis=-1)
+    spectrum[..., int(cutoff_fraction * (size // 2) + 1e-9) + 1:] = 0.0
+    return np.fft.irfft(spectrum, size, axis=-1)[..., :n]
 
 
 def conv_full(samples, fir) -> np.ndarray:
@@ -182,45 +179,33 @@ def upfirdn(samples, fir, up: int = 1, down: int = 1) -> np.ndarray:
 def preprocess(signal: Signal, spec: FilterSpec) -> Signal:
     """Apply one FilterSpec to a signal: the one-row form of
     `preprocess_rows`."""
-    out, _ = preprocess_rows(signal.samples[np.newaxis], spec)
-    return Signal(out[0])
+    return Signal(preprocess_rows(signal.samples[np.newaxis], spec)[0])
 
 
-def preprocess_rows(rows: np.ndarray, spec: FilterSpec
-                    ) -> tuple[np.ndarray, np.ndarray]:
+def preprocess_rows(rows: np.ndarray, spec: FilterSpec) -> np.ndarray:
     """Apply one FilterSpec to each row of a 2-D array of equal-length
-    signals, keeping amplitudes inside [-1, 1]. Returns a new array whose
-    rows equal the one-row form's, and a mask of the rows that the one-row
-    form returns as a stride-2 view while the block holds them contiguously.
+    signals, keeping amplitudes inside [-1, 1]. Returns a new C-contiguous
+    array whose rows equal the one-row form's.
 
     Filters can push samples past full scale (the wavelet low-pass has gain
     sqrt(2) per level); in a row whose peak is beyond a 1e-12 rounding slack
     the row is re-normalized, a bare rounding excess is clipped.
-
-    The low-pass and wavelet filters leave each signal as every other
-    element of a larger array, and the one-row form keeps that view unless
-    the fit above rescales the signal into a new array. A block holds only
-    one layout, so when the fit rescales some of its rows, the others are
-    marked: BLAS dot products sum a stride-2 vector in another order than a
-    contiguous one.
     """
     if spec.kind == "norm":
-        return peak_normalize(rows), np.zeros(len(rows), dtype=bool)
+        return peak_normalize(rows)
     if spec.kind == "raw":
         out = rows.copy()
     elif spec.kind == "fft_low":
         out = fft_low_pass(rows, spec.cutoff_fraction)
     else:
         out = sdwt(rows, spec.wavelet, spec.levels)
-    stride2 = np.zeros(len(rows), dtype=bool)
+    out = np.ascontiguousarray(out)
     if out.shape[1]:
         peak = np.max(np.abs(out), axis=1)
         over = peak > 1.0
         if over.any():
             clip = over & (peak - 1.0 < 1e-12)
-            if out.strides[1] != out.itemsize:
-                stride2 = ~over
             # dividing by 1.0 leaves a row's bits as they are
             out = out / np.where(over & ~clip, peak, 1.0)[:, np.newaxis]
             out[clip] = np.clip(out[clip], -1.0, 1.0)
-    return out, stride2
+    return out

@@ -122,7 +122,6 @@ def parse_sate_xml(text: str) -> tuple[list[ScanWarning], CaseMeta]:
             score=float(w_el.get("score", "nan")),
             rank=int(w_el.get("rank", "1")),
             second_guess=second,
-            config=meta.config,
         ))
     return warnings, meta
 

@@ -174,7 +174,7 @@ def feature_row(data, loader_ngram, spec, extractor, fft_window=1024,
                   | (raw[1:-1].astype(np.int64) << 8) | raw[2:])
         packed -= (packed >= 1 << 23) * (1 << 24)
         x = packed.astype(np.float64) / float(1 << 23)
-    x = _old_preprocess(x, spec)
+    x = np.ascontiguousarray(_old_preprocess(x, spec))
     if extractor == "fft":
         n_windows = max(1, -(-len(x) // fft_window))
         padded = np.zeros(n_windows * fft_window, dtype=np.float64)
@@ -209,11 +209,10 @@ def _old_preprocess(x, spec):
         n = len(x)
         if n:
             size = 1 << max(0, (n - 1)).bit_length()
-            spectrum = np.fft.fft(x, size)
+            spectrum = np.fft.rfft(x, size)
             cut = int(spec.cutoff_fraction * (size // 2) + 1e-9)
-            k = np.arange(size)
-            spectrum[(k > cut) & (k < size - cut)] = 0.0
-            out = np.fft.ifft(spectrum)[:n].real
+            spectrum[cut + 1:] = 0.0
+            out = np.fft.irfft(spectrum, size)[:n]
     else:
         out = x
         low, high = spec.wavelet.low_pass, spec.wavelet.high_pass

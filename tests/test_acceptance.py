@@ -213,11 +213,11 @@ def test_criterion_09_second_guess_accounting():
     from codewave.engine import ScanWarning
     warnings = [
         # a.c: top-1 right -> good in BOTH tallies
-        ScanWarning("a.c", cwe20, 0.1, second_guess=cwe79, config=CFG.option_string),
+        ScanWarning("a.c", cwe20, 0.1, second_guess=cwe79),
         # b.c: top-1 wrong, top-2 right -> bad first, good second
-        ScanWarning("b.c", cwe119, 0.2, second_guess=cwe79, config=CFG.option_string),
+        ScanWarning("b.c", cwe119, 0.2, second_guess=cwe79),
         # c.c: both wrong -> bad in both
-        ScanWarning("c.c", cwe20, 0.3, second_guess=cwe79, config=CFG.option_string),
+        ScanWarning("c.c", cwe20, 0.3, second_guess=cwe79),
     ]
     first, second = score_stats(warnings, truth, CFG)
     assert (first.per_config[0].good, first.per_config[0].bad) == (1, 2)

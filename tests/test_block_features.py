@@ -20,7 +20,9 @@ from codewave import engine
 from codewave.engine import PipelineConfig, train_case
 from codewave.index import IndexEntry, WeaknessClass
 from codewave.index import TestCaseIndex as CaseIndex
-from codewave.preprocess import ShortSignalWarning
+from codewave.loader import samples_from_bytes
+from codewave.preprocess import (FilterSpec, ShortSignalWarning,
+                                 preprocess_rows, wavelet)
 
 from .oracles import feature_row
 
@@ -111,6 +113,24 @@ def test_rows_independent_of_blocks_and_chunks(tmp_path, monkeypatch, flags, job
             rows = engine._feature_rows(cfg, tmp_path, paths, jobs)
         got = np.array([rows[path] for path in paths])
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("spec", [
+    FilterSpec("raw"), FilterSpec("norm"), FilterSpec("fft_low", 0.25),
+    FilterSpec("fft_low", 1.0), FilterSpec("sdwt"),
+    FilterSpec("sdwt", wavelet=wavelet("db2"), levels=2)])
+def test_preprocessed_rows_are_contiguous(spec):
+    # the loud row is rescaled (sdwt) or clipped (low=1) by the full-scale
+    # fit, the quiet one is not; every row must reach the extractors
+    # unit-strided, whether or not the fit touched its block
+    loud, quiet = LOUD[0], b"\x00\x10" * 300
+    for block in ((loud, quiet), (quiet,)):
+        rows = np.stack([samples_from_bytes(data, 2) for data in block])
+        out = preprocess_rows(rows, spec)
+        assert isinstance(out, np.ndarray) and out.flags.c_contiguous
+        for i in range(len(rows)):
+            one = preprocess_rows(rows[i:i + 1], spec)[0]
+            assert out[i].tobytes() == one.tobytes()
 
 
 def test_training_matches_across_jobs(tmp_path, monkeypatch):

@@ -244,6 +244,12 @@ class TestServeWork:
                         "--idle-exit", "1", *CFG_FLAGS])
         assert code == 2  # resolves the env var, then fails to connect
 
+    def test_worker_takes_no_jobs_option(self, corpus):
+        root, _, _, base = corpus
+        assert run_cli(["work", "--store", "127.0.0.1:1", "--jobs", "2",
+                        "--model", base / "model.cwts", "--root", root,
+                        *CFG_FLAGS]) == 1
+
     def test_worker_drains_store_and_exits(self, corpus):
         root, train_xml, test_xml, base = corpus
         model = base / "model.cwts"
@@ -271,7 +277,10 @@ class TestServeWork:
             proc.kill()
             proc.wait(timeout=10)
 
-    def test_score_row_of_the_wrong_length_exits_1(self, corpus, capsys):
+    @staticmethod
+    def scan_through_store(corpus, row) -> int:
+        """`codewave test --store` against a store that already holds `row`
+        as every file's score row."""
         root, train_xml, test_xml, base = corpus
         model = base / "model.cwts"
         run_cli(["train", "--index", train_xml, "--root", root,
@@ -284,12 +293,19 @@ class TestServeWork:
                     server.store, index.case_name, entry.path,
                     (root / entry.path).read_bytes(), cfg)
                 server.store.pickup("w0")
-                server.store.deposit_result(signature, "w0", [0.0])
+                server.store.deposit_result(signature, "w0", row)
             host, port = server.address
-            assert run_cli(["test", "--index", test_xml, "--root", root,
+            return run_cli(["test", "--index", test_xml, "--root", root,
                             "--model", model, "--out", base / "out",
-                            "--store", f"{host}:{port}", *CFG_FLAGS]) == 1
+                            "--store", f"{host}:{port}", *CFG_FLAGS])
+
+    def test_score_row_of_the_wrong_length_exits_1(self, corpus, capsys):
+        assert self.scan_through_store(corpus, [0.0]) == 1
         assert "one score per class" in capsys.readouterr().err
+
+    def test_score_row_of_nulls_exits_1(self, corpus, capsys):
+        assert self.scan_through_store(corpus, [None] * 3) == 1
+        assert "not a number" in capsys.readouterr().err
 
 
 class TestNlpReportPins:

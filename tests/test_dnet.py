@@ -1,6 +1,7 @@
 import socket
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -233,6 +234,23 @@ class TestRefusals:
             assert server.store.counts()[IN_PROGRESS] == 0
             assert server.store.counts()[PENDING] == 1
 
+    def test_worker_refuses_a_path_outside_the_root(self, corpus, monkeypatch):
+        root, index = corpus
+        model = train_case(index, CFG, root)
+        # both name a real corpus file, so only the check stops the read
+        for path in (str(root / "c0_0.bin"), f"../{root.name}/c0_0.bin"):
+            read = []
+            monkeypatch.setattr(Path, "read_bytes",
+                                lambda self: read.append(self))
+            with DemandStoreServer() as server:
+                server.store.deposit("sig1", path)
+                host, port = server.address
+                with pytest.raises(ProtocolError, match="corpus root"):
+                    run_worker(host, port, model, CFG, root, "w0", idle_limit=1)
+                assert server.store.counts()[COMPUTED] == 0
+            assert read == []
+            monkeypatch.undo()
+
     @pytest.mark.parametrize("row", [[0.0, 1.0], [0.0, {}, 1.0], [0.0, [1.0], 2.0]])
     def test_harvested_row_not_one_score_per_class_is_protocol_error(
             self, corpus, row):
@@ -240,12 +258,42 @@ class TestRefusals:
         index = index.with_mode("test")
         model = train_case(index.with_mode("train"), CFG, root)
         with DemandStoreServer() as server:
-            for entry in index.entries:
-                signature, _ = deposit_demand(
-                    server.store, index.case_name, entry.path,
-                    (root / entry.path).read_bytes(), CFG)
-                server.store.pickup("w0")
-                server.store.deposit_result(signature, "w0", row)
+            deposit_rows(server, index, root, lambda _: row)
             host, port = server.address
             with pytest.raises(ProtocolError):
                 run_generator(host, port, index, model, CFG, root, timeout=5)
+
+    @pytest.mark.parametrize("row", [[None, None, None], [0.0, True, 1.0],
+                                     [0.0, "0.5", 1.0], [0.0, 10 ** 400, 1.0]])
+    def test_harvested_score_that_is_not_a_number_is_protocol_error(
+            self, corpus, row):
+        root, index = corpus
+        index = index.with_mode("test")
+        model = train_case(index.with_mode("train"), CFG, root)
+        with DemandStoreServer() as server:
+            deposit_rows(server, index, root, lambda _: row)
+            host, port = server.address
+            with pytest.raises(ProtocolError, match="score is"):
+                run_generator(host, port, index, model, CFG, root, timeout=5)
+
+    def test_infinite_score_is_accepted(self, corpus):
+        root, index = corpus
+        index = index.with_mode("test")
+        model = train_case(index.with_mode("train"), CFG, root)
+        with DemandStoreServer() as server:
+            deposit_rows(server, index, root,
+                         lambda i: [float("inf"), float(i), 100.0])
+            host, port = server.address
+            warnings = run_generator(host, port, index, model, CFG, root,
+                                     timeout=5)
+        assert [w.score for w in warnings] == [float(i) for i in range(12)]
+
+
+def deposit_rows(server, index, root, row_of):
+    """Store a computed score row for each index entry, as a worker would."""
+    for i, entry in enumerate(index.entries):
+        signature, _ = deposit_demand(
+            server.store, index.case_name, entry.path,
+            (root / entry.path).read_bytes(), CFG)
+        server.store.pickup("w0")
+        server.store.deposit_result(signature, "w0", row_of(i))

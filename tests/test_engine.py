@@ -159,6 +159,8 @@ class TestOptionStrings:
         ("-nopreprep -unigram -norm -minmax=2 -cos -median", "5c3d8145641c6508"),
         ("-cweid -nopreprep -char -trigram -add-delta=0.5", "716a55f6c07aaea5"),
         ("-cweid -nopreprep -char -unigram -mle", "aca0ad76458dbfaa"),
+        ("-char", "f95a8cc0c3650397"),
+        ("-char -trigram -mle", "c9d27b829bcc8f82"),
     ])
     def test_config_hash_pinned(self, text, digest):
         # saved models embed this hash; changing it orphans every model
@@ -231,7 +233,8 @@ def test_every_drawn_config_runs_end_to_end(tiny_corpus, cfg):
         # leaves the signal as it is, and says so
         warnings.simplefilter("ignore", ShortSignalWarning)
         found, _, _ = run_once(index, index.with_mode("test"), cfg, root)
-    assert all(w.config == cfg.option_string for w in found)
+    assert {w.path for w in found} <= {e.path for e in index.entries}
+    assert all(w.weakness.kind == "cwe" for w in found)
 
 
 class TestTrainCase:
@@ -338,7 +341,7 @@ class TestTestCase:
 
 def warning(path, wc, second=None, score=0.1):
     return ScanWarning(path=path, weakness=wc, score=score, rank=1,
-                       second_guess=second, config="-nopreprep -raw -fft -cheb")
+                       second_guess=second)
 
 
 class TestScoreStats:

@@ -130,6 +130,22 @@ class TestPersistence:
         with pytest.raises(IndexFormatError, match="no class"):
             load_index(target)
 
+    @pytest.mark.parametrize("path", ["/etc/passwd", "../a.c", "d/../../a.c",
+                                      "..", "d/.."])
+    def test_path_outside_the_root_rejected(self, tmp_path, path):
+        with pytest.raises(ValueError, match="corpus root"):
+            IndexEntry(path)
+        target = tmp_path / "escape.xml"
+        target.write_text(
+            '<index case="c" version="1" mode="test" kind="source">'
+            f'<file path="{path}"/></index>')
+        with pytest.raises(IndexFormatError, match="escape.xml.*corpus root"):
+            load_index(target)
+
+    def test_dotted_names_under_the_root_accepted(self):
+        for path in ("a..c", ".hidden/x.c", "./a.c", "d/..e/f.c"):
+            assert IndexEntry(path).path == path
+
     def test_mixed_content_kinds_rejected(self):
         entries = [IndexEntry("a.c"), IndexEntry("b.o", content_kind="binary")]
         with pytest.raises(IndexFormatError, match="mixes"):

@@ -18,7 +18,7 @@ META = CaseMeta("wireshark", "1.2.0", "-nopreprep -low -fft -cheb")
 
 def warning(path="epan/packet-afs.c", wc=CVE, score=0.0425, second=CWE):
     return ScanWarning(path=path, weakness=wc, score=score, rank=1,
-                       second_guess=second, config=META.config)
+                       second_guess=second)
 
 
 class TestSateXml:
@@ -84,8 +84,8 @@ class TestForensicLucid:
 
     def test_two_warnings_one_file_grouped(self):
         warnings = [
-            ScanWarning("a.c", CVE, 0.1, rank=1, config=META.config),
-            ScanWarning("a.c", CWE, 0.2, rank=2, config=META.config),
+            ScanWarning("a.c", CVE, 0.1, rank=1),
+            ScanWarning("a.c", CWE, 0.2, rank=2),
         ]
         text = export_forensic_lucid(warnings, META)
         assert text.count("observation sequence") == 1
