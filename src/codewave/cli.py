@@ -13,6 +13,7 @@ the command line; double-dash synonyms work too.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import tempfile
@@ -22,10 +23,10 @@ from pathlib import Path
 from . import dnet, nlp, report
 from .classify import MAGIC as TRAINING_SET_MAGIC
 from .classify import TrainingSet, load_training_set, save_training_set
-from .engine import (PipelineConfig, default_grid, is_pipeline_flag,
+from .engine import (ModelType, PipelineConfig, default_grid, is_pipeline_flag,
                      merge_sweep_stats, parse_option_tokens, score_stats,
-                     sweep, test_case, train_case)
-from .errors import CodewaveError, ConfigError, TransportError
+                     sweep, test_case, train_case, trained_hash)
+from .errors import CodewaveError, ConfigError, ModelFormatError, TransportError
 from .index import load_index
 from .loader import samples_from_bytes
 from .preprocess import preprocess_rows
@@ -57,32 +58,39 @@ def _parse_store(value: str | None) -> tuple[str, int]:
         raise ConfigError(
             f"no demand store given (use --store host:port or {STORE_ENV})")
     host, _, port = value.rpartition(":")
-    if not host or not port.isdigit():
+    if not host or not port.isdigit() or int(port) > 65535:
         raise ConfigError(f"malformed store address {value!r}")
     return host, int(port)
 
 
-def _load_model(path: Path):
+def _load_model(path: Path) -> ModelType:
+    """The model in a CWTS or CWNM file; the engine checks it fits the flags."""
     with path.open("rb") as handle:
         magic = handle.read(4)
     if magic == TRAINING_SET_MAGIC:
-        ts = load_training_set(path)
-        return ts, ts.config_hash
+        return load_training_set(path)
     if magic == nlp.MAGIC:
-        return nlp.load_models(path)
+        models, stored_hash = nlp.load_models(path)
+        if stored_hash != trained_hash(models):
+            raise ModelFormatError(f"{path}: hash {stored_hash} does not match its models")
+        return models
     raise ConfigError(f"{path}: unrecognized model file")
 
 
-def _check_hash(stored: str, cfg: PipelineConfig) -> None:
-    if stored != cfg.config_hash:
-        raise ConfigError(
-            f"model configuration hash {stored} does not match the requested "
-            f"flags ({cfg.option_string} -> {cfg.config_hash}); "
-            f"retrain or adjust the flags")
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error exits 1, not argparse's 2
+        raise ConfigError(message)
+
+
+# option -> (whether a value is valid, the rule); NaN is never valid
+OPTION_RULES = {"jobs": (lambda n: n >= 1, ">= 1"),
+                "port": (lambda n: 0 <= n <= 65535, "between 0 and 65535"),
+                "lease": (lambda s: 0.0 < s < math.inf, "finite and > 0"),
+                "throttle": (lambda s: 0.0 <= s < math.inf, "finite and >= 0")}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="codewave", allow_abbrev=False,
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -184,12 +192,11 @@ def _cmd_train(ns, cfg: PipelineConfig) -> int:
 
 
 def _cmd_test(ns, cfg: PipelineConfig) -> int:
+    address = _parse_store(ns.store) if ns.store else None
     index = load_index(ns.index)
-    model, stored_hash = _load_model(Path(ns.model))
-    _check_hash(stored_hash, cfg)
-    if ns.store:
-        host, port = _parse_store(ns.store)
-        warnings = dnet.run_generator(host, port, index, model, cfg, ns.root)
+    model = _load_model(Path(ns.model))
+    if address:
+        warnings = dnet.run_generator(*address, index, model, cfg, ns.root)
     else:
         warnings = test_case(index, model, cfg, ns.root, jobs=ns.jobs)
     written = _write_reports(warnings, cfg, index, Path(ns.out), ns.stamp,
@@ -237,8 +244,7 @@ def _cmd_serve(ns, _cfg: PipelineConfig) -> int:
 
 def _cmd_work(ns, cfg: PipelineConfig) -> int:
     host, port = _parse_store(ns.store)
-    model, stored_hash = _load_model(Path(ns.model))
-    _check_hash(stored_hash, cfg)
+    model = _load_model(Path(ns.model))
     done = dnet.run_worker(host, port, model, cfg, ns.root, ns.worker_id,
                            idle_limit=ns.idle_exit, throttle=ns.throttle)
     print(f"{ns.worker_id}: {done} demand(s) computed")
@@ -262,10 +268,13 @@ def _cmd_report(ns, _cfg: PipelineConfig) -> int:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else [str(a) for a in argv]
-    # pipeline flags go around argparse, which would read -hamming as -h amming
-    ns, unknown = build_parser().parse_known_args(
-        [a for a in argv if not is_pipeline_flag(a)])
     try:
+        # pipeline flags go around argparse, which would read -hamming as -h amming
+        ns, unknown = build_parser().parse_known_args(
+            [a for a in argv if not is_pipeline_flag(a)])
+        for name, (valid, rule) in OPTION_RULES.items():
+            if name in vars(ns) and not valid(vars(ns)[name]):
+                raise ConfigError(f"--{name} must be {rule}")
         cfg = parse_option_tokens([a for a in argv if is_pipeline_flag(a)]
                                   + unknown)
     except (ConfigError, ValueError) as exc:

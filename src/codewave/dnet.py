@@ -63,17 +63,17 @@ class Demand:
     path: str
     content_kind: str = "source"
     state: str = PENDING
-    result: Optional[list] = None  # stored as the worker sent it
+    result: Optional[list | dict] = None  # stored as the worker sent it
     worker: Optional[str] = None
     lease_expiry: Optional[float] = None
 
 
-def deposit_demand(store: "DemandStore", case: str, path: str, data: bytes,
-                   cfg: PipelineConfig,
+def deposit_demand(store: "DemandStore | StoreClient", case: str, path: str,
+                   data: bytes, cfg: PipelineConfig,
                    content_kind: str = "source") -> tuple[str, str]:
     """Compute the signature for one file under one configuration and
-    deposit it; returns (signature, state). Already-computed work comes
-    back as such immediately, so callers never recompute cached warnings."""
+    deposit it, in a local or remote store; returns (signature, state).
+    Already-computed work comes back as such at once, never recomputed."""
     signature = signature_for(case, path, cfg.option_string,
                               content_digest(data))
     return signature, store.deposit(signature, path, content_kind)
@@ -161,13 +161,6 @@ class DemandStore:
                 if s in self.demands and self.demands[s].state == COMPUTED
             }
 
-    def counts(self) -> dict[str, int]:
-        with self._lock:
-            out = {PENDING: 0, IN_PROGRESS: 0, COMPUTED: 0}
-            for demand in self.demands.values():
-                out[demand.state] += 1
-            return out
-
 
 # --- framing -------------------------------------------------------------------
 
@@ -248,11 +241,8 @@ class _StoreHandler(socketserver.BaseRequestHandler):
             if not (isinstance(signatures, list)
                     and all(isinstance(s, str) for s in signatures)):
                 raise ProtocolError("HARVEST needs a list of signature strings")
-            computed = store.harvest(signatures)
-            counts = store.counts()
             return {"type": "ACK", "signature": None,
-                    "payload": {"computed": computed,
-                                "pending": counts[PENDING] + counts[IN_PROGRESS]}}
+                    "payload": {"computed": store.harvest(signatures)}}
         raise ProtocolError(f"unknown message type {kind!r}")
 
 
@@ -362,8 +352,9 @@ def run_worker(host: str, port: int, model: ModelType, cfg: PipelineConfig,
                root, worker_id: str, poll_interval: float = 0.05,
                idle_limit: Optional[int] = None, throttle: float = 0.0) -> int:
     """Score demands until told to stop; each result is the file's row of
-    `test_case`'s score matrix. A model that does not fit `cfg` raises
-    ConfigError before anything is leased.
+    `test_case`'s score matrix, or {"error": "<path>: <message>"} for a path
+    outside the root or a file it cannot read or score. A model that does
+    not fit `cfg` raises ConfigError before anything is leased.
 
     Returns the number of results deposited. With `idle_limit` set, the
     worker exits after that many consecutive empty pickups (used by batch
@@ -385,14 +376,14 @@ def run_worker(host: str, port: int, model: ModelType, cfg: PipelineConfig,
                 continue
             idle = 0
             signature, path, _kind = item
-            try:
-                check_corpus_path(path)
-            except ValueError as exc:
-                raise ProtocolError(f"demand {signature[:12]}: {exc}") from None
             if throttle:
                 time.sleep(throttle)
-            row = engine._scores(cfg, model, classes, root, [path])[0]
-            client.deposit_result(signature, worker_id, row.tolist())
+            try:
+                check_corpus_path(path)
+                result = engine._scores(cfg, model, classes, root, [path])[0].tolist()
+            except (ValueError, OSError) as exc:
+                result = {"error": f"{path}: {exc}"}
+            client.deposit_result(signature, worker_id, result)
             done += 1
 
 
@@ -405,22 +396,26 @@ def run_generator(host: str, port: int, index: TestCaseIndex,
 
     The returned warnings are byte-for-byte the ones a local `test_case`
     call would produce for the same corpus, model, and configuration. A
-    harvested row of the wrong length raises ProtocolError.
+    harvested row that is not one score per class raises ProtocolError, and
+    so does a worker's error result, as soon as it is harvested.
     """
     classes = engine._model_classes(model, cfg)
     paths = [entry.path for entry in index.entries]
     signatures = []  # in index order
-    config = cfg.option_string
     with StoreClient(host, port) as client:
         for entry in index.entries:
-            digest = content_digest((Path(root) / entry.path).read_bytes())
-            signature = signature_for(index.case_name, entry.path, config, digest)
-            client.deposit(signature, entry.path, entry.content_kind)
+            signature, _ = deposit_demand(
+                client, index.case_name, entry.path,
+                (Path(root) / entry.path).read_bytes(), cfg, entry.content_kind)
             signatures.append(signature)
-        wanted = len(set(signatures))
+        path_of = dict(zip(signatures, paths))
+        wanted = len(path_of)
         deadline = time.monotonic() + timeout
         while True:
             harvested = client.harvest(signatures)
+            for s, result in harvested.items():
+                if isinstance(result, dict) and "error" in result:
+                    raise ProtocolError(f"worker error on {path_of[s]}: {result['error']}")
             if len(harvested) >= wanted:
                 break
             if time.monotonic() > deadline:

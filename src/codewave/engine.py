@@ -579,19 +579,39 @@ def _feature_rows(cfg: PipelineConfig, root, paths: list[str],
     return dict(zip(paths, (row for part in parts for row in part)))
 
 
+def trained_hash(model: ModelType) -> Optional[str]:
+    """The config_hash of the flags that `model` was trained under: a
+    TrainingSet stores it, and n-gram models imply it by their one class
+    kind and n. None for n-gram models that mix kinds or n."""
+    if isinstance(model, TrainingSet):
+        return model.config_hash
+    kinds, sizes = {wc.kind for wc in model}, {m.n for m in model.values()}
+    if len(kinds) != 1 or len(sizes) != 1:
+        return None
+    return PipelineConfig(pipeline="nlp", class_kind=kinds.pop(),
+                          nlp_n=sizes.pop()).config_hash
+
+
 def _model_classes(model: ModelType, cfg: PipelineConfig) -> list[WeaknessClass]:
     """The model's classes in score-matrix column order (by id), after
-    checking that the model fits the configuration."""
+    checking that the model fits the configuration. This is the one check
+    of a model against the flags; every scoring entry point starts with it."""
     signal_model = isinstance(model, TrainingSet)
-    if signal_model and model.config_hash != cfg.config_hash:
-        raise ConfigError(
-            f"model was trained under a different configuration "
-            f"(model {model.config_hash}, requested {cfg.config_hash})")
-    if signal_model != (cfg.pipeline == "signal"):
-        raise ConfigError(f"the {cfg.pipeline} pipeline cannot use this model")
     classes = model.classes if signal_model else model
     if not classes:
         raise ConfigError("the model has no classes")
+    trained = trained_hash(model)
+    if trained != cfg.config_hash:
+        raise ConfigError(
+            f"model was trained under a different configuration (model {trained}, flags "
+            f"{cfg.option_string} -> {cfg.config_hash}); retrain or adjust the flags")
+    # the hash leaves the cluster kind out, so that one pass of a sweep
+    # serves mean and median configs alike; the centroids record it
+    kinds = {cluster.kind for cluster in classes.values()} if signal_model else None
+    if kinds not in (None, {cfg.cluster_kind}):
+        raise ConfigError(
+            f"model has {'/'.join(sorted(kinds))} centroids, the flags ask "
+            f"for {cfg.cluster_kind} ones; retrain or adjust the flags")
     return by_id(classes)
 
 
@@ -692,12 +712,12 @@ def test_case(index: TestCaseIndex, model: ModelType, cfg: PipelineConfig,
 
 
 def calibrate_threshold(index: TestCaseIndex, model: ModelType,
-                        cfg: PipelineConfig, root, factor: float = 1.0) -> float:
+                        cfg: PipelineConfig, root) -> float:
     """Detection-mode threshold: the worst top-1 score over the training
-    files themselves, scaled by `factor`. Content the model has seen stays
-    accepted; anything scoring beyond every known example gets rejected."""
+    files themselves. Content the model has seen stays accepted; anything
+    scoring beyond every known example gets rejected."""
     _, _, scores = _score_index(index, model, cfg, root, jobs=1)
-    return float(scores.min(axis=1).max(initial=0.0)) * factor
+    return float(scores.min(axis=1).max(initial=0.0))
 
 
 # --- permutation sweeps ----------------------------------------------------------
@@ -705,11 +725,14 @@ def calibrate_threshold(index: TestCaseIndex, model: ModelType,
 @dataclass
 class SweepEntry:
     config: PipelineConfig
-    option_string: str
     first: Optional[RunStats]
     second: Optional[RunStats]
     elapsed: float
     error: Optional[str] = None
+
+    @property
+    def option_string(self) -> str:
+        return self.config.option_string
 
     @property
     def first_pct(self) -> Decimal:
@@ -782,7 +805,7 @@ def sweep(train_index: TestCaseIndex, test_index: TestCaseIndex,
                     stats = score_stats(step(cfg), test_index, cfg)
                 except Exception as exc:  # noqa: BLE001
                     error = str(exc)
-            entries.append(SweepEntry(cfg, cfg.option_string, *stats,
+            entries.append(SweepEntry(cfg, *stats,
                                       share + time.perf_counter() - started,
                                       error))
     entries.sort(key=lambda e: (e.error is not None, -e.first_pct, e.option_string))

@@ -22,7 +22,6 @@ from .loader import Signal
 @dataclass
 class FeatureVector:
     values: np.ndarray
-    extractor: str  # fft | lpc | minmax
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -37,8 +36,7 @@ class FeatureVector:
 def extract_fft(signal: Signal, window: int = 1024, d: int = 512) -> FeatureVector:
     """Mean magnitude spectrum over non-overlapping windows: the one-row
     form of `fft_features`."""
-    return FeatureVector(fft_features(signal.samples[np.newaxis], window, d)[0],
-                         "fft")
+    return FeatureVector(fft_features(signal.samples[np.newaxis], window, d)[0])
 
 
 def fft_features(rows: np.ndarray, window: int = 1024, d: int = 512) -> np.ndarray:
@@ -109,15 +107,10 @@ def levinson_durbin(r: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
     return a, k
 
 
-def extract_lpc(signal: Signal, order: int = 20, d: int | None = None) -> FeatureVector:
+def extract_lpc(signal: Signal, order: int = 20) -> FeatureVector:
     """Linear-prediction coefficients by the autocorrelation method: the
-    one-row form of `lpc_features`, zero-padded or cut to `d` values."""
-    a = lpc_features(signal.samples[np.newaxis], order)[0]
-    if d is None:
-        d = order
-    values = np.zeros(d, dtype=np.float64)
-    values[: min(d, order)] = a[: min(d, order)]
-    return FeatureVector(values, "lpc")
+    one-row form of `lpc_features`."""
+    return FeatureVector(lpc_features(signal.samples[np.newaxis], order)[0])
 
 
 def lpc_features(rows: np.ndarray, order: int = 20) -> np.ndarray:
@@ -133,8 +126,7 @@ def lpc_features(rows: np.ndarray, order: int = 20) -> np.ndarray:
 def extract_minmax(signal: Signal, d: int = 4) -> FeatureVector:
     """[min, max] for d=2, [min, max, mean, rms] for d=4; zeros when empty:
     the one-row form of `minmax_features`."""
-    return FeatureVector(minmax_features(signal.samples[np.newaxis], d)[0],
-                         "minmax")
+    return FeatureVector(minmax_features(signal.samples[np.newaxis], d)[0])
 
 
 def minmax_features(rows: np.ndarray, d: int = 4) -> np.ndarray:

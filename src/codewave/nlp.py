@@ -78,13 +78,10 @@ class NGramModel:
 
     n: int
     label: WeaknessClass | None = None
-    vocab_size: int = VOCAB_SIZE
 
     def __post_init__(self):
         if self.n not in (1, 2, 3):
             raise ValueError(f"n must be 1, 2 or 3, got {self.n}")
-        if self.vocab_size < 1:
-            raise ValueError("vocab_size must be positive")
         self._codes = np.empty(0, dtype=np.int64)
         self._code_counts = np.empty(0, dtype=np.int64)
         self._pending: list[tuple[np.ndarray, np.ndarray]] = []
@@ -154,29 +151,28 @@ class NGramModel:
         return table
 
 
-def train_model(data: bytes, n: int, label: WeaknessClass | None = None,
-                vocab_size: int = VOCAB_SIZE) -> NGramModel:
-    model = NGramModel(n=n, label=label, vocab_size=vocab_size)
+def train_model(data: bytes, n: int, label: WeaknessClass | None = None) -> NGramModel:
+    model = NGramModel(n=n, label=label)
     model.update(data)
     return model
 
 
-def _estimate(count: int, total: int, types: int, v: int,
+def _estimate(count: int, total: int, types: int,
               smoothing: SmoothingSpec) -> float:
     """p(symbol | context) from the symbol's count and its context's total
     and number of distinct symbols; a total of 0 is an unseen context."""
     if total == 0:
-        return 1.0 / v
+        return 1.0 / VOCAB_SIZE
     kind = smoothing.kind
     if kind == "mle":
         return count / total
     if kind == "add_delta":
-        return (count + smoothing.delta) / (total + smoothing.delta * v)
-    if v - types == 0:
+        return (count + smoothing.delta) / (total + smoothing.delta * VOCAB_SIZE)
+    if VOCAB_SIZE - types == 0:
         return count / total
     if count > 0:
         return count / (total + types)
-    return types / ((total + types) * (v - types))
+    return types / ((total + types) * (VOCAB_SIZE - types))
 
 
 def probability(model: NGramModel, context: bytes, symbol: int,
@@ -195,16 +191,12 @@ def probability(model: NGramModel, context: bytes, symbol: int,
     ctx = bytes(context)
     by_symbol = model.counts.get(ctx, {})
     return _estimate(by_symbol.get(symbol, 0), model.totals.get(ctx, 0),
-                     len(by_symbol), model.vocab_size, smoothing)
+                     len(by_symbol), smoothing)
 
 
 def _log(p: float) -> float:
-    """math.log(p); -inf for p == 0, and NaN where math.log would raise (a
-    vocab_size below a context's distinct symbol count can make Witten-Bell's
-    unseen estimate negative)."""
-    if p > 0.0:
-        return math.log(p)
-    return -math.inf if p == 0.0 else math.nan
+    """math.log(p), and -inf for p == 0."""
+    return math.log(p) if p > 0.0 else -math.inf
 
 
 def _find(keys: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -227,7 +219,6 @@ class _LogProbTable:
     @classmethod
     def build(cls, model: NGramModel, smoothing: SmoothingSpec) -> _LogProbTable:
         codes, counts = model.code_counts()
-        v = model.vocab_size
         contexts, starts, types = np.unique(
             codes >> 8, return_index=True, return_counts=True)
         totals = np.add.reduceat(counts, starts) if len(codes) else counts
@@ -238,14 +229,14 @@ class _LogProbTable:
         empty_mle = smoothing.kind == "mle" and not len(codes)
         return cls(
             pairs=codes,
-            pair_logp=np.array([_log(_estimate(count, total, k, v, smoothing))
+            pair_logp=np.array([_log(_estimate(count, total, k, smoothing))
                                 for count, total, k in pair_stats]),
             contexts=contexts,
-            unseen_logp=np.array([_log(_estimate(0, total, k, v, smoothing))
+            unseen_logp=np.array([_log(_estimate(0, total, k, smoothing))
                                   for total, k in zip(totals.tolist(),
                                                       types.tolist())]),
             new_context_logp=-math.inf if empty_mle
-            else _log(_estimate(0, 0, 0, v, smoothing)))
+            else _log(_estimate(0, 0, 0, smoothing)))
 
     def logp(self, codes: np.ndarray) -> np.ndarray:
         """log p of each n-gram code (the searches are fastest on sorted
@@ -261,16 +252,8 @@ class _LogProbTable:
 
 def _sequential_sum(logp: np.ndarray) -> float:
     """The left-to-right sum of a loop of `score += math.log(p)`, which
-    stops at the first p <= 0: log 0 makes the score -inf, and math.log of
-    a negative p (NaN in the table) raises."""
-    if not len(logp):
-        return 0.0
-    score = float(np.cumsum(logp)[-1])
-    if math.isnan(score):
-        if logp[~np.isfinite(logp)][0] == -math.inf:
-            return -math.inf
-        raise ValueError("math domain error")
-    return score
+    stops at the first p == 0 with a score of -inf."""
+    return float(np.cumsum(logp)[-1]) if len(logp) else 0.0
 
 
 def score_documents(documents: Iterable[bytes], models: Sequence[NGramModel],
@@ -324,13 +307,12 @@ def save_models(models: dict[WeaknessClass, NGramModel], file,
     if not models:
         raise ConfigError("refusing to persist an empty model set")
     n_values = {m.n for m in models.values()}
-    vocab_values = {m.vocab_size for m in models.values()}
-    if len(n_values) != 1 or len(vocab_values) != 1:
-        raise ConfigError("all persisted models must share n and vocab_size")
+    if len(n_values) != 1:
+        raise ConfigError("all persisted models must share n")
     n = n_values.pop()
     out = bytearray()
     out += MAGIC
-    out += struct.pack("<HII", FORMAT_VERSION, n, vocab_values.pop())
+    out += struct.pack("<HII", FORMAT_VERSION, n, VOCAB_SIZE)
     out += _pack_str(config_hash)
     out += struct.pack("<I", len(models))
     for wc in sorted(models, key=lambda w: (w.kind, w.id)):
@@ -357,6 +339,9 @@ def load_models(file) -> tuple[dict[WeaknessClass, NGramModel], str]:
         version, n, vocab = struct.unpack_from("<HII", buf, 4)
         if version != FORMAT_VERSION:
             raise ModelFormatError(f"{file}: unsupported version {version}")
+        if vocab != VOCAB_SIZE:
+            raise ModelFormatError(
+                f"{file}: vocabulary size {vocab}, not {VOCAB_SIZE} byte values")
         off = 4 + 10
         config_hash, off = _unpack_str(buf, off)
         (n_models,) = struct.unpack_from("<I", buf, off)
@@ -368,7 +353,7 @@ def load_models(file) -> tuple[dict[WeaknessClass, NGramModel], str]:
             wc = WeaknessClass(kind, class_id)
             (n_contexts,) = struct.unpack_from("<I", buf, off)
             off += 4
-            model = NGramModel(n=n, label=wc, vocab_size=vocab)
+            model = NGramModel(n=n, label=wc)
             for _ in range(n_contexts):
                 ctx, n_symbols = struct.unpack_from(f"<{n - 1}sI", buf, off)
                 off += n + 3

@@ -219,17 +219,14 @@ def export_stats_table(stats_blocks: Iterable[RunStats],
 
 # --- raster output (binary portable graymap) --------------------------------------
 
-def _pgm(pixels: np.ndarray, comment: Optional[str] = None) -> bytes:
+def _pgm(pixels: np.ndarray) -> bytes:
     """Encode a 2-D uint8 array as a binary PGM (P5)."""
     height, width = pixels.shape
-    header = f"P5\n{width} {height}\n255\n"
-    if comment is not None:
-        header = f"P5\n# {comment}\n{width} {height}\n255\n"
-    return header.encode("ascii") + pixels.astype(np.uint8).tobytes()
+    return f"P5\n{width} {height}\n255\n".encode("ascii") + pixels.astype(np.uint8).tobytes()
 
 
-def export_wave_image(samples: np.ndarray, width: int = 1024, height: int = 200,
-                      comment: Optional[str] = None) -> bytes:
+def export_wave_image(samples: np.ndarray, width: int = 1024,
+                      height: int = 200) -> bytes:
     """Amplitude polyline of a 1-D sample array, one pixel column per
     bucket of samples.
 
@@ -238,7 +235,7 @@ def export_wave_image(samples: np.ndarray, width: int = 1024, height: int = 200,
     """
     x = np.asarray(samples, dtype=np.float64)
     if len(x) == 0:
-        return _pgm(np.zeros((1, 1), dtype=np.uint8), comment)
+        return _pgm(np.zeros((1, 1), dtype=np.uint8))
     width = min(width, len(x))
     pixels = np.zeros((height, width), dtype=np.uint8)
     bounds = np.linspace(0, len(x), width + 1).astype(int)
@@ -252,11 +249,10 @@ def export_wave_image(samples: np.ndarray, width: int = 1024, height: int = 200,
         lo = row(float(np.max(bucket)))
         hi = row(float(np.min(bucket)))
         pixels[lo: hi + 1, col] = 255
-    return _pgm(pixels, comment)
+    return _pgm(pixels)
 
 
-def export_spectrogram(samples: np.ndarray, window: int = 256,
-                       comment: Optional[str] = None) -> bytes:
+def export_spectrogram(samples: np.ndarray, window: int = 256) -> bytes:
     """Log-magnitude spectrogram of a 1-D sample array: columns are
     windows, rows are bins.
 
@@ -268,7 +264,7 @@ def export_spectrogram(samples: np.ndarray, window: int = 256,
         raise ValueError("window must be a power of two")
     x = np.asarray(samples, dtype=np.float64)
     if len(x) == 0:
-        return _pgm(np.zeros((1, 1), dtype=np.uint8), comment)
+        return _pgm(np.zeros((1, 1), dtype=np.uint8))
     n_windows = -(-len(x) // window)
     padded = np.zeros(n_windows * window, dtype=np.float64)
     padded[: len(x)] = x
@@ -279,4 +275,4 @@ def export_spectrogram(samples: np.ndarray, window: int = 256,
     if peak > 0.0:
         levels = levels * (255.0 / peak)
     pixels = np.rint(levels.T).astype(np.uint8)  # rows = bins, cols = windows
-    return _pgm(pixels, comment)
+    return _pgm(pixels)

@@ -280,7 +280,7 @@ def test_criterion_10_distributed_equivalence(clean_corpus, tmp_path):
         for w in workers:
             w.wait(timeout=60)
         serve_proc.kill()
-        serve_proc.wait(timeout=10)
+        serve_proc.communicate(timeout=10)  # reaps it and closes its stdout
     dist_xml, dist_table = _render_outputs(distributed, index)
     assert dist_xml == mono_xml
     assert dist_table == mono_table
@@ -309,7 +309,7 @@ def test_criterion_10_distributed_equivalence(clean_corpus, tmp_path):
         for w in survivors:
             w.wait(timeout=60)
         serve_proc.kill()
-        serve_proc.wait(timeout=10)
+        serve_proc.communicate(timeout=10)  # reaps it and closes its stdout
     kill_xml, kill_table = _render_outputs(harvested["warnings"], index)
     assert kill_xml == mono_xml
     assert kill_table == mono_table

@@ -16,7 +16,7 @@ from .oracles import scalar_distance
 
 
 def fv(*values):
-    return FeatureVector(np.array(values, dtype=float), "fft")
+    return FeatureVector(np.array(values, dtype=float))
 
 
 CWE20 = WeaknessClass.cwe("CWE-20")

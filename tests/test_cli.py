@@ -9,9 +9,9 @@ import pytest
 from codewave.cli import main
 from codewave.dnet import (PENDING, DemandStoreServer, StoreClient, deposit_demand,
                            run_worker)
-from codewave.engine import parse_option_tokens
+from codewave.engine import parse_option_tokens, train_case
 from codewave.index import load_index, write_index
-from codewave.nlp import load_models
+from codewave.nlp import load_models, save_models
 from codewave.report import parse_sate_xml
 
 from .corpusgen import build_corpus
@@ -65,6 +65,30 @@ class TestTrainTest:
                         "--model", model, "-cweid", "-nopreprep", "-low",
                         "-fft=128:64", "-cheb"])
         assert code == 1
+
+    def test_median_model_with_mean_flags_exits_1(self, corpus, capsys):
+        root, train_xml, test_xml, base = corpus
+        model = base / "model.cwts"
+        assert run_cli(["train", "--index", train_xml, "--root", root,
+                        "--model", model, *CFG_FLAGS, "-median"]) == 0
+        code = run_cli(["test", "--index", test_xml, "--root", root,
+                        "--model", model, "--out", base / "out", *CFG_FLAGS])
+        assert code == 1
+        assert "median centroids" in capsys.readouterr().err
+        assert not (base / "out").exists()
+
+    def test_ngram_file_whose_hash_its_models_do_not_imply_exits_1(
+            self, corpus, capsys):
+        root, train_xml, test_xml, base = corpus
+        flags = ["-cweid", "-nopreprep", "-char", "-bigram", "-mle"]
+        model = base / "model.cwnm"
+        save_models(train_case(load_index(train_xml), parse_option_tokens(flags),
+                               root), model)  # stored hash "unconfigured"
+        code = run_cli(["test", "--index", test_xml, "--root", root,
+                        "--model", model, "--out", base / "out", *flags])
+        assert code == 1
+        assert "hash unconfigured does not match its models" in \
+            capsys.readouterr().err
 
     def test_conflicting_flags_exit_1(self, corpus):
         root, train_xml, _, base = corpus
@@ -180,6 +204,54 @@ class TestTrainTest:
                 for p in images} == self.IMAGE_PINS
 
 
+class TestUsageErrors:
+    """A usage error exits 1 with a message and no traceback, before
+    anything is read, bound, connected to or leased."""
+
+    CASES = {
+        "jobs not a number": ["train", "--index", "i.xml", "--model", "m",
+                              "--jobs", "abc"],
+        "index missing": ["train", "--model", "m"],
+        "jobs below 1": ["test", "--index", "i.xml", "--model", "m",
+                         "--jobs", "-3"],
+        "port above 65535": ["serve", "--port", "70000"],
+        "store port above 65535": ["test", "--index", "i.xml", "--model", "m",
+                                   "--store", "127.0.0.1:70000"],
+        "lease not a number": ["serve", "--port", "0", "--lease", "nan"],
+        "lease of 0": ["serve", "--port", "0", "--lease", "0"],
+        "throttle below 0": ["work", "--store", "127.0.0.1:1", "--model", "m",
+                             "--throttle", "-1"],
+        "throttle infinite": ["work", "--store", "127.0.0.1:1", "--model", "m",
+                              "--throttle", "inf"],
+    }
+
+    @pytest.mark.parametrize("argv", list(CASES.values()), ids=list(CASES))
+    def test_exits_1(self, argv, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_store_port_above_65535_from_the_environment_exits_1(
+            self, capsys, monkeypatch):
+        monkeypatch.setenv("CODEWAVE_STORE", "127.0.0.1:70000")
+        assert run_cli(["work", "--model", "m"]) == 1
+        assert "malformed store address" in capsys.readouterr().err
+
+    def test_bad_throttle_leases_nothing(self, corpus):
+        root, train_xml, _, base = corpus
+        model = base / "model.cwts"
+        assert run_cli(["train", "--index", train_xml, "--root", root,
+                        "--model", model, *CFG_FLAGS]) == 0
+        with DemandStoreServer() as server:
+            server.store.deposit("sig1", "c0/f000.bin")
+            host, port = server.address
+            assert run_cli(["work", "--store", f"{host}:{port}", "--model", model,
+                            "--root", root, "--throttle", "-1", *CFG_FLAGS]) == 1
+            assert server.store.demands["sig1"].state == PENDING  # not leased
+
+
 class TestReportCommand:
     def test_rescore_existing_report(self, corpus, capsys):
         root, train_xml, test_xml, base = corpus
@@ -228,7 +300,7 @@ class TestServeWork:
                 assert client.pickup("w")[0] == "sig-x"
         finally:
             proc.kill()
-            proc.wait(timeout=10)
+            proc.communicate(timeout=10)  # reaps it and closes its stdout
 
     def test_store_env_var_fallback(self, corpus, monkeypatch):
         root, train_xml, _, base = corpus
@@ -275,7 +347,7 @@ class TestServeWork:
                 assert client.harvest(["job-1"])
         finally:
             proc.kill()
-            proc.wait(timeout=10)
+            proc.communicate(timeout=10)  # reaps it and closes its stdout
 
     @staticmethod
     def scan_through_store(corpus, row) -> int:

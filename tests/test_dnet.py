@@ -1,3 +1,4 @@
+import dataclasses
 import socket
 import threading
 import time
@@ -5,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from codewave.dnet import (COMPUTED, IN_PROGRESS, PENDING, DemandStore,
+from codewave.dnet import (COMPUTED, PENDING, DemandStore,
                            DemandStoreServer, StoreClient, content_digest,
                            deposit_demand, recv_message, run_generator,
                            run_worker, send_message, signature_for)
@@ -51,7 +52,7 @@ class TestDemandStore:
         demand = store.pickup("w1")
         store.deposit_result(demand.signature, "w1", RESULT)
         assert store.deposit("sig1", "a.c") == COMPUTED
-        assert store.counts()[PENDING] == 0
+        assert store.demands["sig1"].state == COMPUTED
 
     def test_pickup_race_is_exclusive(self):
         store = DemandStore()
@@ -231,8 +232,19 @@ class TestRefusals:
             with pytest.raises(ConfigError):
                 run_worker(host, port, model, PipelineConfig(class_kind="cwe"),
                            root, "w0", idle_limit=1)
-            assert server.store.counts()[IN_PROGRESS] == 0
-            assert server.store.counts()[PENDING] == 1
+            assert server.store.demands["sig1"].state == PENDING  # not leased
+
+    def test_worker_with_a_median_model_and_mean_flags_leases_nothing(
+            self, corpus):
+        root, index = corpus
+        model = train_case(index, dataclasses.replace(CFG, cluster_kind="median"),
+                           root)
+        with DemandStoreServer() as server:
+            server.store.deposit("sig1", "c0_0.bin")
+            host, port = server.address
+            with pytest.raises(ConfigError, match="median centroids"):
+                run_worker(host, port, model, CFG, root, "w0", idle_limit=1)
+            assert server.store.demands["sig1"].state == PENDING  # not leased
 
     def test_worker_refuses_a_path_outside_the_root(self, corpus, monkeypatch):
         root, index = corpus
@@ -245,11 +257,48 @@ class TestRefusals:
             with DemandStoreServer() as server:
                 server.store.deposit("sig1", path)
                 host, port = server.address
-                with pytest.raises(ProtocolError, match="corpus root"):
-                    run_worker(host, port, model, CFG, root, "w0", idle_limit=1)
-                assert server.store.counts()[COMPUTED] == 0
+                assert run_worker(host, port, model, CFG, root, "w0",
+                                  idle_limit=1) == 1
+                error = server.store.harvest(["sig1"])["sig1"]["error"]
+            assert error.startswith(f"{path}: ") and "corpus root" in error
             assert read == []
             monkeypatch.undo()
+
+    def test_worker_that_meets_a_bad_demand_keeps_serving(self, corpus):
+        root, index = corpus
+        model = train_case(index, CFG, root)
+        with DemandStoreServer() as server:
+            server.store.deposit("bad", "absent.bin")  # leased first
+            server.store.deposit("good", "c0_0.bin")
+            host, port = server.address
+            assert run_worker(host, port, model, CFG, root, "w0",
+                              idle_limit=1) == 2
+            results = server.store.harvest(["bad", "good"])
+        assert results["bad"]["error"].startswith("absent.bin: ")
+        assert len(results["good"]) == 3
+        assert all(type(score) is float for score in results["good"])
+
+    def test_generator_fails_fast_on_a_worker_error(self, corpus,
+                                                    tmp_path_factory):
+        root, index = corpus
+        model = train_case(index, CFG, root)
+        # the worker's root lacks the first file of the index
+        worker_root = tmp_path_factory.mktemp("worker-root")
+        missing = index.entries[0].path
+        for entry in index.entries[1:]:
+            (worker_root / entry.path).write_bytes((root / entry.path).read_bytes())
+        with DemandStoreServer() as server:
+            host, port = server.address
+            worker = threading.Thread(
+                target=run_worker, args=(host, port, model, CFG, worker_root, "w0"),
+                kwargs={"idle_limit": 40, "poll_interval": 0.01}, daemon=True)
+            worker.start()
+            started = time.monotonic()
+            with pytest.raises(ProtocolError, match=f"worker error on {missing}"):
+                run_generator(host, port, index.with_mode("test"), model, CFG,
+                              root, timeout=300)
+            assert time.monotonic() - started < 10
+            worker.join(timeout=10)
 
     @pytest.mark.parametrize("row", [[0.0, 1.0], [0.0, {}, 1.0], [0.0, [1.0], 2.0]])
     def test_harvested_row_not_one_score_per_class_is_protocol_error(

@@ -3,6 +3,7 @@ import math
 import os
 import warnings
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -219,6 +220,7 @@ def tiny_corpus(tmp_path):
 
 
 SIGNAL_CFG = PipelineConfig(class_kind="cwe", fft_window=64, fft_bins=32)
+NLP_CFG = PipelineConfig(class_kind="cwe", pipeline="nlp")
 
 
 # the corpus fixture is only read, so every drawn config may share it
@@ -306,6 +308,38 @@ class TestTestCase:
         other = PipelineConfig(class_kind="cwe", extractor="lpc", lpc_order=32)
         with pytest.raises(ConfigError, match="different configuration"):
             classify_case(index.with_mode("test"), model, other, root)
+
+    # (the flags a model was trained under, the flags it is then used with)
+    MISFITS = {
+        "unigram model, bigram flags": (NLP_CFG, dataclasses.replace(NLP_CFG, nlp_n=2)),
+        "cwe model, cve flags": (NLP_CFG, dataclasses.replace(NLP_CFG, class_kind="cve")),
+        "median model, mean flags": (
+            dataclasses.replace(SIGNAL_CFG, cluster_kind="median"), SIGNAL_CFG),
+        "mean model, median flags": (
+            SIGNAL_CFG, dataclasses.replace(SIGNAL_CFG, cluster_kind="median")),
+    }
+
+    @pytest.mark.parametrize("trained_under, flags", list(MISFITS.values()),
+                             ids=list(MISFITS))
+    def test_model_that_does_not_fit_the_flags_is_refused(
+            self, tiny_corpus, monkeypatch, trained_under, flags):
+        root, index = tiny_corpus
+        model = train_case(index, trained_under, root)
+        read = []
+        monkeypatch.setattr(Path, "read_bytes", lambda self: read.append(self))
+        with pytest.raises(ConfigError, match="retrain or adjust the flags"):
+            classify_case(index.with_mode("test"), model, flags, root)
+        assert read == []
+
+    def test_ngram_models_of_mixed_n_fit_no_flags(self, tiny_corpus):
+        root, index = tiny_corpus
+        models = train_case(index, NLP_CFG, root)
+        assert engine.trained_hash(models) == NLP_CFG.config_hash
+        models[CWE20] = train_case(
+            index, dataclasses.replace(NLP_CFG, nlp_n=2), root)[CWE20]
+        assert engine.trained_hash(models) is None
+        with pytest.raises(ConfigError, match="different configuration"):
+            classify_case(index.with_mode("test"), models, NLP_CFG, root)
 
     def test_single_class_names_it(self, tmp_path):
         (tmp_path / "a.bin").write_bytes(bytes([10] * 64))
