@@ -409,19 +409,20 @@ def run_generator(host: str, port: int, index: TestCaseIndex,
                 (Path(root) / entry.path).read_bytes(), cfg, entry.content_kind)
             signatures.append(signature)
         path_of = dict(zip(signatures, paths))
-        wanted = len(path_of)
+        harvested: dict[str, list] = {}
         deadline = time.monotonic() + timeout
         while True:
-            harvested = client.harvest(signatures)
-            for s, result in harvested.items():
+            missing = [s for s in path_of if s not in harvested]
+            for s, result in client.harvest(missing).items():
                 if isinstance(result, dict) and "error" in result:
                     raise ProtocolError(f"worker error on {path_of[s]}: {result['error']}")
-            if len(harvested) >= wanted:
+                harvested[s] = result
+            if len(harvested) >= len(path_of):
                 break
             if time.monotonic() > deadline:
                 raise TransportError(
                     f"distributed run timed out with "
-                    f"{wanted - len(harvested)} results missing")
+                    f"{len(path_of) - len(harvested)} results missing")
             time.sleep(poll_interval)
     rows = [harvested[s] for s in signatures]
     if not all(isinstance(row, list) and len(row) == len(classes) for row in rows):

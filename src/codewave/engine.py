@@ -779,37 +779,45 @@ def sweep(train_index: TestCaseIndex, test_index: TestCaseIndex,
           grid: Iterable[PipelineConfig], root, jobs: int = 1) -> list[SweepEntry]:
     """Run every configuration and rank them by first-guess precision.
 
-    Configurations sharing a config_hash share one pass (see `_group_pass`);
-    an entry's elapsed time is its own step plus an equal share of that
-    pass. A failing configuration is recorded as a failed row (a failing
-    shared pass fails its whole group) and the sweep keeps going; ties rank
-    by option string so repeated sweeps agree.
+    Configurations sharing a config_hash share one pass (see `_group_pass`).
+    One fork-join splits these groups, not the files of a pass, across `jobs`
+    processes, at least two groups a process (`_fork_map`'s rule); each runs
+    its groups and their passes serially, so a grid of fewer than four groups
+    runs serially. An entry's elapsed time is its own step plus an equal share
+    of that pass. A failing configuration is recorded as a failed row (a
+    failing shared pass fails its whole group) and the sweep keeps going;
+    ties rank by option string so repeated sweeps agree.
     """
     groups: dict[str, list[PipelineConfig]] = {}
     for cfg in grid:
         groups.setdefault(cfg.config_hash, []).append(cfg)
-    entries = []
-    for cfgs in groups.values():
-        started = time.perf_counter()
-        step, group_error = None, None
-        try:
-            step = _group_pass(train_index, test_index, cfgs[0], root, jobs)
-        except Exception as exc:  # noqa: BLE001 - sweep must survive any config
-            group_error = str(exc)
-        share = (time.perf_counter() - started) / len(cfgs)
-        for cfg in cfgs:
+
+    def run_groups(chunk: list[list[PipelineConfig]]) -> list[SweepEntry]:
+        entries = []
+        for cfgs in chunk:
             started = time.perf_counter()
-            stats, error = (None, None), group_error
-            if error is None:
-                try:
-                    stats = score_stats(step(cfg), test_index, cfg)
-                except Exception as exc:  # noqa: BLE001
-                    error = str(exc)
-            entries.append(SweepEntry(cfg, *stats,
-                                      share + time.perf_counter() - started,
-                                      error))
-    entries.sort(key=lambda e: (e.error is not None, -e.first_pct, e.option_string))
-    return entries
+            step, group_error = None, None
+            try:
+                step = _group_pass(train_index, test_index, cfgs[0], root, jobs=1)
+            except Exception as exc:  # noqa: BLE001 - sweep must survive any config
+                group_error = str(exc)
+            share = (time.perf_counter() - started) / len(cfgs)
+            for cfg in cfgs:
+                started = time.perf_counter()
+                stats, error = (None, None), group_error
+                if error is None:
+                    try:
+                        stats = score_stats(step(cfg), test_index, cfg)
+                    except Exception as exc:  # noqa: BLE001
+                        error = str(exc)
+                entries.append(SweepEntry(cfg, *stats,
+                                          share + time.perf_counter() - started,
+                                          error))
+        return entries
+
+    parts = _fork_map(run_groups, list(groups.values()), jobs)
+    return sorted((entry for part in parts for entry in part),
+                  key=lambda e: (e.error is not None, -e.first_pct, e.option_string))
 
 
 def default_grid(class_kind: str = "cve") -> list[PipelineConfig]:

@@ -269,6 +269,17 @@ class TestReportCommand:
 
 
 class TestSweepCommand:
+    def test_two_jobs_print_the_serial_table(self, corpus, capsys, monkeypatch):
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        root, train_xml, test_xml, _ = corpus
+        printed = []
+        for jobs in ("1", "2"):
+            assert run_cli(["sweep", "--train-index", train_xml, "--test-index",
+                            test_xml, "--root", root, "--jobs", jobs, "-cweid"]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0].startswith("guess")
+        assert printed[1] == printed[0]
+
     def test_sweep_prints_ranked_table(self, tmp_path, capsys):
         root = tmp_path / "corpus"
         index = build_corpus(root, n_classes=2, files_per_class=2, size=256)

@@ -221,6 +221,34 @@ class TestDistributedEquivalence:
                                    CFG, root, timeout=5)
         assert first == second
 
+    def test_generator_never_asks_again_for_a_harvested_result(
+            self, corpus, monkeypatch):
+        root, index = corpus
+        index = index.with_mode("test")
+        model = train_case(index.with_mode("train"), CFG, root)
+        polls = []  # (signatures asked for, signatures returned)
+        harvest = StoreClient.harvest
+
+        def harvest_after_one_more_result(client, signatures):
+            demand = server.store.pickup("w0")  # a worker serves one demand
+            if demand is not None:
+                server.store.deposit_result(demand.signature, "w0",
+                                            [0.0, 1.0, 2.0])
+            computed = harvest(client, signatures)
+            polls.append((list(signatures), set(computed)))
+            return computed
+        monkeypatch.setattr(StoreClient, "harvest", harvest_after_one_more_result)
+        with DemandStoreServer() as server:
+            host, port = server.address
+            warnings = run_generator(host, port, index, model, CFG, root,
+                                     poll_interval=0.0, timeout=5)
+        assert len(warnings) == len(polls) == len(index.entries)
+        seen = set()
+        for asked, returned in polls:
+            assert not seen & set(asked)
+            seen |= returned
+        assert len(seen) == len(index.entries)
+
 
 class TestRefusals:
     def test_worker_with_a_model_of_other_flags_leases_nothing(self, corpus):

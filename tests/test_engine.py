@@ -508,6 +508,12 @@ def sweep_rows(entries):
 SMALL_GRID = [PipelineConfig(class_kind="cwe", fft_window=64, fft_bins=32,
                              metric=m, cluster_kind=k)
               for m in ("cheb", "cos", "diff") for k in ("mean", "median")]
+# two more signal passes, so SMALL_GRID holds four config_hash groups and a
+# sweep over it forks at two jobs (at least two groups a process)
+OTHER_SIGNAL_CFGS = [PipelineConfig(class_kind="cwe", fft_window=64, fft_bins=32,
+                                    filter_kind=f, extractor=x)
+                     for f, x in (("norm", "fft"), ("raw", "minmax"))]
+SMALL_GRID += OTHER_SIGNAL_CFGS
 SMALL_GRID += [PipelineConfig(class_kind="cwe", pipeline="nlp", smoothing=s)
                for s in ("mle", "witten_bell")]
 
@@ -538,15 +544,44 @@ class TestJobsInvariance:
             entry = by_option[cfg.option_string]
             assert repr((entry.first, entry.second)) == repr((first, second))
 
-    def test_failed_shared_pass_fails_its_group(self, tiny_corpus):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failed_shared_pass_fails_its_group(self, tiny_corpus, monkeypatch,
+                                                jobs):
+        """At two jobs the failing group, the last of four, runs in the
+        forked child, so its error string crosses the fork."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         root, index = tiny_corpus
         train, test = overlapping_indexes(index)
-        grid = [PipelineConfig(class_kind="cve", metric=m)
-                for m in ("cheb", "eucl")] + [SIGNAL_CFG]
-        entries = sweep(train, test, grid, root)
-        assert [e.error is None for e in entries] == [True, False, False]
-        assert entries[1].error == entries[2].error
-        assert "no cve classes" in entries[1].error
+        grid = [SIGNAL_CFG] + OTHER_SIGNAL_CFGS + [
+            PipelineConfig(class_kind="cve", metric=m) for m in ("cheb", "eucl")]
+        entries = sweep(train, test, grid, root, jobs=jobs)
+        assert [e.error is None for e in entries] == [True] * 3 + [False] * 2
+        assert entries[3].error == entries[4].error
+        assert entries[3].error == "no cve classes found in the training index"
+
+    def test_one_fork_join_per_sweep(self, tiny_corpus, monkeypatch):
+        """The jobs split the configuration groups, not the files of each
+        group's pass: one _fork_map call forks, and only once."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        root, index = tiny_corpus
+        train, test = overlapping_indexes(index)
+        calls, forks = [], []
+
+        def fork_map(fn, items, jobs):
+            calls.append((len(items), jobs))
+            return _fork_map(fn, items, jobs)
+
+        def fork(real_fork=os.fork):
+            pid = real_fork()
+            if pid:  # counted in the parent only
+                forks.append(pid)
+            return pid
+        monkeypatch.setattr(engine, "_fork_map", fork_map)
+        monkeypatch.setattr(os, "fork", fork)
+        entries = sweep(train, test, SMALL_GRID, root, jobs=2)
+        assert len(entries) == len(SMALL_GRID)
+        assert [call for call in calls if call[1] != 1] == [(4, 2)]
+        assert len(forks) == 1
 
     @pytest.mark.parametrize("cfg", SMALL_GRID[-2:], ids=lambda c: c.smoothing)
     def test_nlp_tables_built_before_the_fork(self, tiny_corpus, monkeypatch, cfg):
