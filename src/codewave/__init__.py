@@ -5,11 +5,11 @@ statistical signatures, and classified against per-CVE/CWE models learned
 from an annotated knowledge base. See README.md for the workflow.
 """
 
-from .classify import ClusterModel, ResultSet, TrainingSet, classify, distance, train
+from .classify import ClusterModel, TrainingSet, classify, distance, train
 from .engine import (PipelineConfig, RunStats, ScanWarning, StatsRow,
                      parse_option_string, parse_option_tokens, run_once,
                      score_stats, sweep, test_case, train_case)
-from .features import FeatureVector, extract_fft, extract_lpc, extract_minmax
+from .features import extract_fft, extract_lpc, extract_minmax
 from .index import (Annotation, IndexEntry, TestCaseIndex, WeaknessClass,
                     annotate_synthetic, collect_files, derive_binary_index,
                     halve_training, load_index, write_index)
@@ -20,8 +20,8 @@ from .preprocess import FilterSpec, WaveletSpec, fft_low_pass, preprocess, sdwt,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Annotation", "ClusterModel", "FeatureVector", "FilterSpec", "IndexEntry",
-    "NGramModel", "PipelineConfig", "ResultSet", "RunStats", "ScanWarning",
+    "Annotation", "ClusterModel", "FilterSpec", "IndexEntry",
+    "NGramModel", "PipelineConfig", "RunStats", "ScanWarning",
     "Signal", "SmoothingSpec", "StatsRow", "TestCaseIndex", "TrainingSet",
     "WaveletSpec", "WeaknessClass", "annotate_synthetic", "classify",
     "collect_files", "derive_binary_index", "distance", "extract_fft",

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import struct
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, ModelFormatError
-from .features import FeatureVector
 from .index import WeaknessClass
 
 MAGIC = b"CWTS"
@@ -56,16 +55,9 @@ class TrainingSet:
         return len(next(iter(self.classes.values())).centroid) if self.classes else 0
 
 
-@dataclass
-class ResultSet:
-    """Classes ranked most-likely first; scores are distances, ascending."""
-
-    ranked: list[tuple[WeaknessClass, float]] = field(default_factory=list)
-
-
-def train(vectors: list[tuple[WeaknessClass, FeatureVector | np.ndarray]],
+def train(vectors: list[tuple[WeaknessClass, np.ndarray]],
           kind: str = "mean", config_hash: str = "unconfigured") -> TrainingSet:
-    """Aggregate labeled feature vectors (FeatureVectors, or the rows of a
+    """Aggregate labeled feature vectors (1-D arrays, such as the rows of a
     feature matrix) into per-class centroids.
 
     Retraining with an extended vector list recomputes the centroids exactly;
@@ -76,8 +68,8 @@ def train(vectors: list[tuple[WeaknessClass, FeatureVector | np.ndarray]],
     if not vectors:
         raise ConfigError("cannot train on an empty vector list")
     grouped: dict[WeaknessClass, list[np.ndarray]] = {}
-    for wc, fv in vectors:
-        grouped.setdefault(wc, []).append(getattr(fv, "values", fv))
+    for wc, row in vectors:
+        grouped.setdefault(wc, []).append(row)
     dims = {len(v) for members in grouped.values() for v in members}
     if len(dims) != 1:
         raise ConfigError(f"mixed feature dimensions: {sorted(dims)}")
@@ -176,17 +168,21 @@ def centroid_distances(X, ts: TrainingSet, classes: list[WeaknessClass],
     return distances(X, centroids, metric, p, tol)
 
 
-def classify(v: FeatureVector, ts: TrainingSet, metric: str = "eucl",
-             p: float = 3.0, tol: float = 1e-4) -> ResultSet:
-    """Rank every trained class by distance to `v`, ascending."""
+def classify(v: np.ndarray, ts: TrainingSet, metric: str = "eucl",
+             p: float = 3.0, tol: float = 1e-4) -> list[tuple[WeaknessClass, float]]:
+    """Rank every trained class by distance to the 1-D vector `v`: the
+    (class, distance) pairs, most likely (nearest) first."""
+    v = np.asarray(v, dtype=np.float64)
+    if not np.all(np.isfinite(v)):
+        raise ValueError("feature vector contains non-finite values")
     if not ts.classes:
         raise ConfigError("training set is empty")
-    if v.d != ts.dimension:
+    if len(v) != ts.dimension:
         raise ConfigError(
-            f"vector dimension {v.d} does not match training set {ts.dimension}")
+            f"vector dimension {len(v)} does not match training set {ts.dimension}")
     classes = by_id(ts.classes)
-    scores = centroid_distances(v.values.reshape(1, -1), ts, classes, metric, p, tol)
-    return ResultSet(rank(classes, scores[0]))
+    scores = centroid_distances(v.reshape(1, -1), ts, classes, metric, p, tol)
+    return rank(classes, scores[0])
 
 
 # --- persistence (see docs/model-format.md) ----------------------------------

@@ -86,7 +86,7 @@ class _Parser(argparse.ArgumentParser):
 OPTION_RULES = {"jobs": (lambda n: n >= 1, ">= 1"),
                 "port": (lambda n: 0 <= n <= 65535, "between 0 and 65535"),
                 "lease": (lambda s: 0.0 < s < math.inf, "finite and > 0"),
-                "throttle": (lambda s: 0.0 <= s < math.inf, "finite and >= 0")}
+                "idle_exit": (lambda n: n is None or n >= 1, ">= 1")}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -131,8 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_work.add_argument("--worker-id", default=f"worker-{os.getpid()}")
     p_work.add_argument("--idle-exit", type=int, default=None,
                         help="exit after N consecutive empty pickups")
-    p_work.add_argument("--throttle", type=float, default=0.0,
-                        help="sleep this many seconds per demand (debugging)")
     p_work.add_argument("--root", default=".", help="corpus root directory")
 
     p_report = sub.add_parser(
@@ -246,7 +244,7 @@ def _cmd_work(ns, cfg: PipelineConfig) -> int:
     host, port = _parse_store(ns.store)
     model = _load_model(Path(ns.model))
     done = dnet.run_worker(host, port, model, cfg, ns.root, ns.worker_id,
-                           idle_limit=ns.idle_exit, throttle=ns.throttle)
+                           idle_limit=ns.idle_exit)
     print(f"{ns.worker_id}: {done} demand(s) computed")
     return EXIT_OK
 
@@ -274,7 +272,7 @@ def main(argv=None) -> int:
             [a for a in argv if not is_pipeline_flag(a)])
         for name, (valid, rule) in OPTION_RULES.items():
             if name in vars(ns) and not valid(vars(ns)[name]):
-                raise ConfigError(f"--{name} must be {rule}")
+                raise ConfigError(f"--{name.replace('_', '-')} must be {rule}")
         cfg = parse_option_tokens([a for a in argv if is_pipeline_flag(a)]
                                   + unknown)
     except (ConfigError, ValueError) as exc:

@@ -44,6 +44,10 @@ COMPUTED = "computed"
 
 DEFAULT_LEASE = 60.0
 
+# the most one sock.recv call asks for: recv(n) allocates n bytes before any
+# arrive, so a peer's length prefix alone must not size the buffer
+RECV_CHUNK = 64 * 1024
+
 
 def signature_for(case: str, path: str, option_string: str,
                   content_digest: str) -> str:
@@ -172,7 +176,7 @@ def send_message(sock: socket.socket, message: dict) -> None:
 def _recv_exact(sock: socket.socket, n: int) -> bytes:
     chunks = []
     while n:
-        chunk = sock.recv(n)
+        chunk = sock.recv(min(n, RECV_CHUNK))
         if not chunk:
             raise ConnectionError("peer closed the connection")
         chunks.append(chunk)
@@ -350,7 +354,7 @@ class StoreClient:
 
 def run_worker(host: str, port: int, model: ModelType, cfg: PipelineConfig,
                root, worker_id: str, poll_interval: float = 0.05,
-               idle_limit: Optional[int] = None, throttle: float = 0.0) -> int:
+               idle_limit: Optional[int] = None) -> int:
     """Score demands until told to stop; each result is the file's row of
     `test_case`'s score matrix, or {"error": "<path>: <message>"} for a path
     outside the root or a file it cannot read or score. A model that does
@@ -358,9 +362,7 @@ def run_worker(host: str, port: int, model: ModelType, cfg: PipelineConfig,
 
     Returns the number of results deposited. With `idle_limit` set, the
     worker exits after that many consecutive empty pickups (used by batch
-    runs where the store drains and nothing new will arrive). `throttle`
-    sleeps that many seconds per demand, which keeps a worker slow enough
-    to watch lease recovery in action.
+    runs where the store drains and nothing new will arrive).
     """
     classes = engine._model_classes(model, cfg)
     done = 0
@@ -376,8 +378,6 @@ def run_worker(host: str, port: int, model: ModelType, cfg: PipelineConfig,
                 continue
             idle = 0
             signature, path, _kind = item
-            if throttle:
-                time.sleep(throttle)
             try:
                 check_corpus_path(path)
                 result = engine._scores(cfg, model, classes, root, [path])[0].tolist()

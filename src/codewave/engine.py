@@ -22,7 +22,7 @@ from typing import Iterable, Optional, Union
 import numpy as np
 
 from . import nlp
-from .classify import METRICS, ResultSet, TrainingSet, by_id, centroid_distances
+from .classify import METRICS, TrainingSet, by_id, centroid_distances
 from .classify import train as train_clusters
 from .errors import ConfigError
 # classify_vector, extract_* and preprocess are the one-file forms of the
@@ -338,15 +338,16 @@ class ScanWarning:
             raise ValueError("warning score must be finite")
 
 
-def warning_from_result(path: str, result: ResultSet,
+def warning_from_result(path: str, ranked: list[tuple[WeaknessClass, float]],
                         cfg: PipelineConfig) -> Optional[ScanWarning]:
-    """Apply the accept threshold to a ranked result; None means rejected."""
-    if not result.ranked:
+    """Apply the accept threshold to a best-first (class, score) ranking;
+    None means rejected."""
+    if not ranked:
         return None
-    top, score = result.ranked[0]
+    top, score = ranked[0]
     if score > cfg.threshold or not math.isfinite(score):
         return None
-    second = result.ranked[1][0] if len(result.ranked) > 1 else None
+    second = ranked[1][0] if len(ranked) > 1 else None
     return ScanWarning(path=path, weakness=top, score=score, rank=1,
                        second_guess=second)
 
@@ -652,8 +653,8 @@ def _warnings(paths: list[str], classes: list[WeaknessClass],
     warnings = []
     top_two = np.argsort(scores, axis=1, kind="stable")[:, :2]
     for path, row, top in zip(paths, scores, top_two):
-        result = ResultSet([(classes[j], float(row[j])) for j in top])
-        warning = warning_from_result(path, result, cfg)
+        warning = warning_from_result(
+            path, [(classes[j], float(row[j])) for j in top], cfg)
         if warning is not None:
             warnings.append(warning)
     return warnings

@@ -11,32 +11,16 @@ one-row forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError
 from .loader import Signal
 
 
-@dataclass
-class FeatureVector:
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("feature vector contains non-finite values")
-
-    @property
-    def d(self) -> int:
-        return len(self.values)
-
-
-def extract_fft(signal: Signal, window: int = 1024, d: int = 512) -> FeatureVector:
+def extract_fft(signal: Signal, window: int = 1024, d: int = 512) -> np.ndarray:
     """Mean magnitude spectrum over non-overlapping windows: the one-row
     form of `fft_features`."""
-    return FeatureVector(fft_features(signal.samples[np.newaxis], window, d)[0])
+    return fft_features(signal.samples[np.newaxis], window, d)[0]
 
 
 def fft_features(rows: np.ndarray, window: int = 1024, d: int = 512) -> np.ndarray:
@@ -107,10 +91,10 @@ def levinson_durbin(r: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
     return a, k
 
 
-def extract_lpc(signal: Signal, order: int = 20) -> FeatureVector:
+def extract_lpc(signal: Signal, order: int = 20) -> np.ndarray:
     """Linear-prediction coefficients by the autocorrelation method: the
     one-row form of `lpc_features`."""
-    return FeatureVector(lpc_features(signal.samples[np.newaxis], order)[0])
+    return lpc_features(signal.samples[np.newaxis], order)[0]
 
 
 def lpc_features(rows: np.ndarray, order: int = 20) -> np.ndarray:
@@ -123,10 +107,10 @@ def lpc_features(rows: np.ndarray, order: int = 20) -> np.ndarray:
                     ).reshape(len(rows), order)
 
 
-def extract_minmax(signal: Signal, d: int = 4) -> FeatureVector:
+def extract_minmax(signal: Signal, d: int = 4) -> np.ndarray:
     """[min, max] for d=2, [min, max, mean, rms] for d=4; zeros when empty:
     the one-row form of `minmax_features`."""
-    return FeatureVector(minmax_features(signal.samples[np.newaxis], d)[0])
+    return minmax_features(signal.samples[np.newaxis], d)[0]
 
 
 def minmax_features(rows: np.ndarray, d: int = 4) -> np.ndarray:

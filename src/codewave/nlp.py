@@ -26,8 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .classify import (ResultSet, _model_buffer, _pack_str, _unpack_str,
-                       by_id, rank)
+from .classify import _model_buffer, _pack_str, _unpack_str, by_id, rank
 from .errors import ConfigError, ModelFormatError
 from .index import WeaknessClass
 
@@ -287,17 +286,17 @@ def score_document(data: bytes, model: NGramModel,
 
 
 def rank_models(data: bytes, models: dict[WeaknessClass, NGramModel],
-                smoothing: SmoothingSpec) -> ResultSet:
+                smoothing: SmoothingSpec) -> list[tuple[WeaknessClass, float]]:
     """Rank classes by descending log-likelihood of the document.
 
-    The score stored per class is the negated log-likelihood so the result
-    set shares the centroid classifier's ascending-is-better convention.
+    The score paired with each class is the negated log-likelihood, so the
+    ranking shares the centroid classifier's ascending-is-better convention.
     """
     if not models:
         raise ConfigError("no trained language models")
     classes = by_id(models)
     scores = score_documents([data], [models[wc] for wc in classes], smoothing)
-    return ResultSet(rank(classes, -scores[0]))
+    return rank(classes, -scores[0])
 
 
 # --- persistence (same container family as CWTS; see docs/model-format.md) ---

@@ -7,6 +7,7 @@ published precision figures.
 """
 
 import math
+import re
 import subprocess
 import sys
 import threading
@@ -250,13 +251,30 @@ def _spawn_serve(lease):
     return proc, address, host, int(port)
 
 
-def _spawn_worker(address, model_file, root, extra=()):
+def _spawn_worker(address, model_file, root):
     return subprocess.Popen(
         [sys.executable, "-m", "codewave.cli", "work", "--store", address,
          "--model", str(model_file), "--root", str(root),
-         "--idle-exit", "60", *extra,
+         "--idle-exit", "60",
          "-cweid", "-nopreprep", "-raw", "-fft", "-cheb"],
         stdout=subprocess.DEVNULL)
+
+
+# a worker that dies mid-demand: it leases the first demand the generator
+# deposits, prints its signature and holds the lease until it is killed
+_LEASE_HOLDER = """
+import sys, time
+from codewave.dnet import StoreClient
+deadline = time.monotonic() + 60
+with StoreClient(sys.argv[1], int(sys.argv[2])) as client:
+    while time.monotonic() < deadline:
+        item = client.pickup("victim")
+        if item is not None:
+            print(item[0], flush=True)
+            time.sleep(120)  # holds the lease until killed
+            break
+        time.sleep(0.05)
+"""
 
 
 def test_criterion_10_distributed_equivalence(clean_corpus, tmp_path):
@@ -295,13 +313,15 @@ def test_criterion_10_distributed_equivalence(clean_corpus, tmp_path):
                                                    CFG, root, timeout=120)
 
     try:
-        victim = _spawn_worker(address, model_file, root,
-                               extra=("--throttle", "0.05"))
+        victim = subprocess.Popen(
+            [sys.executable, "-c", _LEASE_HOLDER, host, str(port)],
+            stdout=subprocess.PIPE, text=True)
         generator = threading.Thread(target=generate, daemon=True)
         generator.start()
-        time.sleep(1.0)  # victim is mid-corpus thanks to the throttle
+        leased = victim.stdout.readline().strip()
         victim.kill()
-        victim.wait(timeout=10)
+        victim.communicate(timeout=10)  # reaps it and closes its stdout
+        assert re.fullmatch("[0-9a-f]{64}", leased), "victim held no lease"
         survivors = [_spawn_worker(address, model_file, root) for _ in range(3)]
         generator.join(timeout=120)
         assert "warnings" in harvested, "generator did not finish"

@@ -9,14 +9,13 @@ from codewave.classify import (METRICS, TrainingSet, classify, distance,
                                distances, load_training_set, save_training_set,
                                train)
 from codewave.errors import ConfigError, ModelFormatError
-from codewave.features import FeatureVector
 from codewave.index import WeaknessClass
 
 from .oracles import scalar_distance
 
 
 def fv(*values):
-    return FeatureVector(np.array(values, dtype=float))
+    return np.array(values, dtype=float)
 
 
 CWE20 = WeaknessClass.cwe("CWE-20")
@@ -167,13 +166,13 @@ class TestClassify:
     def test_exact_match_scores_zero(self):
         ts = self.build()
         result = classify(fv(1, 0), ts, "eucl")
-        assert result.ranked[0] == (CWE119, 0.0)
+        assert result[0] == (CWE119, 0.0)
 
     def test_tie_break_lexicographic(self):
         ts = train([(CWE119, fv(0, 1)), (CWE20, fv(0, -1))], "mean")
         result = classify(fv(0, 0), ts, "eucl")
         # "CWE-119" < "CWE-20"
-        assert [wc for wc, _ in result.ranked] == [CWE119, CWE20]
+        assert [wc for wc, _ in result] == [CWE119, CWE20]
 
     def test_matches_brute_force_ranking(self):
         ts = self.build()
@@ -182,26 +181,31 @@ class TestClassify:
             v = fv(*rng.uniform(-2, 2, size=2))
             result = classify(v, ts, "eucl")
             brute = sorted(
-                ((wc, distance(v.values, m.centroid, "eucl"))
+                ((wc, distance(v, m.centroid, "eucl"))
                  for wc, m in ts.classes.items()),
                 key=lambda item: (item[1], item[0].id))
-            assert result.ranked == brute
+            assert result == brute
 
     def test_scores_non_decreasing(self):
         result = classify(fv(0.2, 0.7), self.build(), "cheb")
-        scores = [s for _, s in result.ranked]
+        scores = [s for _, s in result]
         assert scores == sorted(scores)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ConfigError):
             classify(fv(1, 2, 3), self.build(), "eucl")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vector_refused(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            classify(fv(1, bad), self.build(), "eucl")
+
     def test_one_vector_per_class_self_recognition(self):
         vectors = [(CWE20, fv(0, 0)), (CWE119, fv(3, 1)), (CWE399, fv(-2, 5))]
         ts = train(vectors, "mean")
         for wc, vector in vectors:
             result = classify(vector, ts, "eucl")
-            assert result.ranked[0] == (wc, 0.0)
+            assert result[0] == (wc, 0.0)
 
 
 class TestPersistence:

@@ -219,10 +219,10 @@ class TestUsageErrors:
                                    "--store", "127.0.0.1:70000"],
         "lease not a number": ["serve", "--port", "0", "--lease", "nan"],
         "lease of 0": ["serve", "--port", "0", "--lease", "0"],
-        "throttle below 0": ["work", "--store", "127.0.0.1:1", "--model", "m",
-                             "--throttle", "-1"],
-        "throttle infinite": ["work", "--store", "127.0.0.1:1", "--model", "m",
-                              "--throttle", "inf"],
+        "idle-exit of 0": ["work", "--store", "127.0.0.1:1", "--model", "m",
+                           "--idle-exit", "0"],
+        "throttle is not an option": ["work", "--store", "127.0.0.1:1",
+                                      "--model", "m", "--throttle", "0.05"],
     }
 
     @pytest.mark.parametrize("argv", list(CASES.values()), ids=list(CASES))
@@ -239,7 +239,7 @@ class TestUsageErrors:
         assert run_cli(["work", "--model", "m"]) == 1
         assert "malformed store address" in capsys.readouterr().err
 
-    def test_bad_throttle_leases_nothing(self, corpus):
+    def test_bad_idle_exit_leases_nothing(self, corpus):
         root, train_xml, _, base = corpus
         model = base / "model.cwts"
         assert run_cli(["train", "--index", train_xml, "--root", root,
@@ -248,7 +248,7 @@ class TestUsageErrors:
             server.store.deposit("sig1", "c0/f000.bin")
             host, port = server.address
             assert run_cli(["work", "--store", f"{host}:{port}", "--model", model,
-                            "--root", root, "--throttle", "-1", *CFG_FLAGS]) == 1
+                            "--root", root, "--idle-exit", "-5", *CFG_FLAGS]) == 1
             assert server.store.demands["sig1"].state == PENDING  # not leased
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from codewave.dnet import (COMPUTED, PENDING, DemandStore,
+from codewave.dnet import (COMPUTED, PENDING, RECV_CHUNK, DemandStore,
                            DemandStoreServer, StoreClient, content_digest,
                            deposit_demand, recv_message, run_generator,
                            run_worker, send_message, signature_for)
@@ -144,6 +144,7 @@ class TestWireProtocol:
         b'{"type": "HARVEST", "payload": {"signatures": 5}}',
         b'{"type": "HARVEST", "payload": {"signatures": "s1"}}',
         b'{"type": "HARVEST", "payload": {"signatures": [["s1"]]}}',
+        b'{"type": "SHUTDOWN", "payload": {}}',
     ])
     def test_malformed_frame_gets_error_and_connection_lives(self, body):
         with DemandStoreServer() as server:
@@ -154,6 +155,23 @@ class TestWireProtocol:
                                     "payload": {"path": "b.c"}})
                 assert recv_message(sock)["payload"] == {"state": PENDING}
             assert list(server.store.demands) == ["s2"]
+
+    def test_huge_length_prefix_is_read_in_bounded_chunks(self):
+        class Feed:
+            """A socket holding a 4 GiB length prefix and then EOF."""
+
+            def __init__(self):
+                self.data, self.asked = b"\xff\xff\xff\xff", []
+
+            def recv(self, n):
+                self.asked.append(n)
+                chunk, self.data = self.data[:n], self.data[n:]
+                return chunk
+
+        feed = Feed()
+        with pytest.raises(ConnectionError):
+            recv_message(feed)
+        assert feed.asked and max(feed.asked) <= RECV_CHUNK
 
     def test_unreachable_store_is_transport_error(self):
         with pytest.raises(TransportError):
@@ -352,6 +370,16 @@ class TestRefusals:
             host, port = server.address
             with pytest.raises(ProtocolError, match="score is"):
                 run_generator(host, port, index, model, CFG, root, timeout=5)
+
+    def test_generator_without_workers_times_out_naming_the_missing(
+            self, corpus):
+        root, index = corpus
+        index = index.with_mode("test")
+        model = train_case(index.with_mode("train"), CFG, root)
+        with DemandStoreServer() as server:
+            host, port = server.address
+            with pytest.raises(TransportError, match="with 12 results missing"):
+                run_generator(host, port, index, model, CFG, root, timeout=0.2)
 
     def test_infinite_score_is_accepted(self, corpus):
         root, index = corpus

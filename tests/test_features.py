@@ -12,8 +12,8 @@ from .oracles import naive_dft, toeplitz_lpc
 class TestExtractFft:
     def test_constant_signal_dc_only(self):
         fv = extract_fft(Signal(np.ones(16)), window=16, d=8)
-        assert fv.values[0] > 0
-        assert np.allclose(fv.values[1:], 0.0, atol=1e-9)
+        assert fv[0] > 0
+        assert np.allclose(fv[1:], 0.0, atol=1e-9)
 
     def test_cosine_peak_at_expected_bin(self):
         t = np.arange(16)
@@ -21,25 +21,25 @@ class TestExtractFft:
         fv = extract_fft(Signal(x), window=16, d=8)
         oracle_bin = int(np.argmax(np.abs(naive_dft(x))[:8]))
         assert oracle_bin == 2
-        assert int(np.argmax(fv.values)) == oracle_bin
-        others = np.delete(fv.values, oracle_bin)
+        assert int(np.argmax(fv)) == oracle_bin
+        others = np.delete(fv, oracle_bin)
         assert np.all(others < 1e-9)
 
     def test_empty_signal_zero_vector(self):
         fv = extract_fft(Signal(np.zeros(0)), window=16, d=8)
-        assert fv.values.tolist() == [0.0] * 8
+        assert fv.tolist() == [0.0] * 8
 
     def test_last_window_zero_padded(self):
         x = np.ones(20)  # 16 + 4 -> second window mostly zeros
         fv = extract_fft(Signal(x), window=16, d=8)
-        assert len(fv.values) == 8
-        assert np.all(np.isfinite(fv.values))
+        assert len(fv) == 8
+        assert np.all(np.isfinite(fv))
 
     def test_amplitude_linear(self):
         rng = np.random.default_rng(3)
         x = rng.uniform(-1, 1, size=100)
-        base = extract_fft(Signal(x), window=32, d=16).values
-        scaled = extract_fft(Signal(0.25 * x), window=32, d=16).values
+        base = extract_fft(Signal(x), window=32, d=16)
+        scaled = extract_fft(Signal(0.25 * x), window=32, d=16)
         assert np.allclose(scaled, 0.25 * base, rtol=1e-9, atol=1e-12)
 
     def test_d_bound(self):
@@ -54,11 +54,11 @@ class TestLevinsonDurbin:
         for i in range(1, len(x)):
             x[i] = 0.9 * x[i - 1] + 1e-3 * rng.standard_normal()
         fv = extract_lpc(Signal(x), order=1)
-        assert fv.values[0] == pytest.approx(0.9, abs=0.05)
+        assert fv[0] == pytest.approx(0.9, abs=0.05)
 
     def test_zero_signal_zero_coefficients(self):
         fv = extract_lpc(Signal(np.zeros(64)), order=8)
-        assert fv.values.tolist() == [0.0] * 8
+        assert fv.tolist() == [0.0] * 8
 
     @pytest.mark.parametrize("order", [4, 8, 20])
     def test_matches_toeplitz_solve(self, order):
@@ -80,8 +80,8 @@ class TestLevinsonDurbin:
     def test_scale_invariance(self):
         rng = np.random.default_rng(34)
         x = rng.standard_normal(256)
-        a1 = extract_lpc(Signal(x), order=8).values
-        a2 = extract_lpc(Signal(5.0 * x), order=8).values
+        a1 = extract_lpc(Signal(x), order=8)
+        a2 = extract_lpc(Signal(5.0 * x), order=8)
         assert np.allclose(a1, a2, atol=1e-6)
 
     def test_rejects_bad_order(self):
@@ -92,18 +92,18 @@ class TestLevinsonDurbin:
 class TestExtractMinmax:
     def test_d2(self):
         fv = extract_minmax(Signal(np.array([-0.5, 0.2, 0.9])), d=2)
-        assert fv.values.tolist() == [-0.5, 0.9]
+        assert fv.tolist() == [-0.5, 0.9]
 
     def test_d4_zeros(self):
         fv = extract_minmax(Signal(np.zeros(2)), d=4)
-        assert fv.values.tolist() == [0.0, 0.0, 0.0, 0.0]
+        assert fv.tolist() == [0.0, 0.0, 0.0, 0.0]
 
     def test_d4_rms(self):
         fv = extract_minmax(Signal(np.array([1.0, -1.0])), d=4)
-        assert fv.values.tolist() == [-1.0, 1.0, 0.0, 1.0]
+        assert fv.tolist() == [-1.0, 1.0, 0.0, 1.0]
 
     def test_empty_signal(self):
-        assert extract_minmax(Signal(np.zeros(0)), d=4).values.tolist() == [0.0] * 4
+        assert extract_minmax(Signal(np.zeros(0)), d=4).tolist() == [0.0] * 4
 
     def test_rejects_other_d(self):
         with pytest.raises(ConfigError):
@@ -115,6 +115,8 @@ class TestFixedLengthContract:
     def test_every_extractor_returns_d_finite_values(self, n):
         rng = np.random.default_rng(n)
         sig = Signal(rng.uniform(-1, 1, size=n))
-        assert extract_fft(sig, window=64, d=32).values.shape == (32,)
-        assert extract_lpc(sig, order=10).values.shape == (10,)
-        assert extract_minmax(sig, d=4).values.shape == (4,)
+        for row, d in [(extract_fft(sig, window=64, d=32), 32),
+                       (extract_lpc(sig, order=10), 10),
+                       (extract_minmax(sig, d=4), 4)]:
+            assert row.shape == (d,)
+            assert np.all(np.isfinite(row))
