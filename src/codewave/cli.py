@@ -97,8 +97,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--root", default=".", help="corpus root directory")
-        p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                       help="processes per batch pass, or per sweep (default: CPU count)")
+        p.add_argument("--jobs", type=int, metavar="N", default=os.cpu_count() or 1,
+                       help="at most N processes (default: CPU count); a train/test pass forks"
+                       " only when each process gets at least FORK_BYTES (512 KiB) of input")
 
     p_train = sub.add_parser("train", help="learn per-class models from a train index")
     p_train.add_argument("--index", required=True)

@@ -496,9 +496,35 @@ def _leave_cpu(home: Optional[int], k: int) -> None:
         pass
 
 
+# Input each process of a file pass gets at least. On 2 vCPUs a fork-join costs
+# 3.5-4.5 ms (7-10 ms with a real pass's copy-on-write faults), more than a whole
+# 40-file pass of 4 KB files; _feature_rows and _score_index break even between
+# 160 and 320 such files, 0.6-1.3 MB of input.
+FORK_BYTES = 512 * 1024
+
+
+def _file_jobs(root, paths: list[str], jobs: int) -> int:
+    """Processes for a pass over `paths`: at most `jobs` and the cores, each with
+    at least FORK_BYTES of input. Files are stat'ed in order until all are
+    earned; one that cannot be stat'ed ends the count, and its read reports it."""
+    jobs = min(jobs, os.cpu_count() or 1)
+    if jobs <= 1 or FORK_BYTES <= 0:
+        return jobs
+    total, prefix = 0, os.path.join(root, "")
+    for path in paths:
+        try:
+            total += os.stat(prefix + path).st_size
+        except OSError:
+            break
+        if total >= jobs * FORK_BYTES:
+            return jobs
+    return max(1, total // FORK_BYTES)
+
+
 def _fork_map(fn, items: list, jobs: int) -> list:
-    """Apply `fn` to contiguous chunks of `items`, one chunk per job, and
-    return the chunk results in order.
+    """Apply `fn` to contiguous chunks of `items`, one chunk per job, and return
+    the chunk results in order. File passes choose `jobs` by their input bytes
+    (`_file_jobs`), the sweep by its count of groups.
 
     The caller runs the first chunk itself; each other chunk runs in a
     forked child that inherits its inputs copy-on-write and streams its
@@ -506,9 +532,8 @@ def _fork_map(fn, items: list, jobs: int) -> list:
     the caller's (see _leave_cpu). Without os.fork every chunk runs
     in-process.
     """
-    # forking past the core count only adds contention, and a child for one
-    # file costs more than it saves
-    jobs = max(1, min(jobs, os.cpu_count() or 1, len(items) // 2))
+    # forking past the core count only adds contention
+    jobs = max(1, min(jobs, os.cpu_count() or 1))
     size = max(1, -(-len(items) // jobs))
     chunks = [items[i: i + size] for i in range(0, len(items), size)]
     if len(chunks) < 2 or not hasattr(os, "fork"):
@@ -576,7 +601,8 @@ def _feature_rows(cfg: PipelineConfig, root, paths: list[str],
                   jobs: int) -> dict[str, np.ndarray]:
     """The feature row of every distinct path, from one fork-join."""
     paths = list(dict.fromkeys(paths))
-    parts = _fork_map(lambda chunk: _features(cfg, root, chunk), paths, jobs)
+    parts = _fork_map(lambda chunk: _features(cfg, root, chunk), paths,
+                      _file_jobs(root, paths, jobs))
     return dict(zip(paths, (row for part in parts for row in part)))
 
 
@@ -638,7 +664,7 @@ def _score_index(index: TestCaseIndex, model: ModelType, cfg: PipelineConfig,
         for wc in classes:  # built once here; forked children inherit them
             model[wc].log_prob_table(cfg.smoothing_spec())
     parts = _fork_map(lambda chunk: _scores(cfg, model, classes, root, chunk),
-                      paths, jobs)
+                      paths, _file_jobs(root, paths, jobs))
     scores = np.concatenate(parts) if parts else np.empty((0, len(classes)))
     return paths, classes, scores
 
@@ -782,12 +808,12 @@ def sweep(train_index: TestCaseIndex, test_index: TestCaseIndex,
 
     Configurations sharing a config_hash share one pass (see `_group_pass`).
     One fork-join splits these groups, not the files of a pass, across `jobs`
-    processes, at least two groups a process (`_fork_map`'s rule); each runs
-    its groups and their passes serially, so a grid of fewer than four groups
-    runs serially. An entry's elapsed time is its own step plus an equal share
-    of that pass. A failing configuration is recorded as a failed row (a
-    failing shared pass fails its whole group) and the sweep keeps going;
-    ties rank by option string so repeated sweeps agree.
+    processes, at least two groups a process; each runs its groups and their
+    passes serially, so a grid of fewer than four groups runs serially. An
+    entry's elapsed time is its own step plus an equal share of that pass. A
+    failing configuration is recorded as a failed row (a failing shared pass
+    fails its whole group) and the sweep keeps going; ties rank by option
+    string so repeated sweeps agree.
     """
     groups: dict[str, list[PipelineConfig]] = {}
     for cfg in grid:
@@ -816,7 +842,7 @@ def sweep(train_index: TestCaseIndex, test_index: TestCaseIndex,
                                           error))
         return entries
 
-    parts = _fork_map(run_groups, list(groups.values()), jobs)
+    parts = _fork_map(run_groups, list(groups.values()), min(jobs, len(groups) // 2))
     return sorted((entry for part in parts for entry in part),
                   key=lambda e: (e.error is not None, -e.first_pct, e.option_string))
 

@@ -14,6 +14,20 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 _acceptance_results = []
 
 
+@pytest.fixture
+def forks(monkeypatch):
+    """The child pids of every os.fork the test makes, seen in the parent."""
+    pids = []
+
+    def fork(real_fork=os.fork):
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
 def pytest_collection_modifyitems(items):
     # a RuntimeWarning (overflow, division by zero, ...) fails the test that
     # raised it; the mark goes on this directory's tests only

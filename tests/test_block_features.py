@@ -98,8 +98,10 @@ def test_block_path_equals_per_file_pipeline(cfg, blobs, block_bytes):
     "-unigram -low=1 -lpc=8", "-unigram -low=0.5 -lpc=1", "-sdwt=db2:2 -lpc",
     "-trigram -sdwt -minmax=2"])
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_rows_independent_of_blocks_and_chunks(tmp_path, monkeypatch, flags, jobs):
+def test_rows_independent_of_blocks_and_chunks(tmp_path, monkeypatch, forks,
+                                               flags, jobs):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(engine, "FORK_BYTES", 0)
     cfg = engine.parse_option_string(flags)
     rng = np.random.default_rng(11)
     blobs = [rng.integers(0, 256, n, dtype=np.uint8).tobytes()
@@ -113,6 +115,7 @@ def test_rows_independent_of_blocks_and_chunks(tmp_path, monkeypatch, flags, job
             rows = engine._feature_rows(cfg, tmp_path, paths, jobs)
         got = np.array([rows[path] for path in paths])
         assert got.tobytes() == want.tobytes()
+    assert bool(forks) == (jobs > 1)
 
 
 @pytest.mark.parametrize("spec", [
@@ -133,8 +136,9 @@ def test_preprocessed_rows_are_contiguous(spec):
             assert out[i].tobytes() == one.tobytes()
 
 
-def test_training_matches_across_jobs(tmp_path, monkeypatch):
+def test_training_matches_across_jobs(tmp_path, monkeypatch, forks):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(engine, "FORK_BYTES", 0)
     rng = np.random.default_rng(5)
     blobs = [rng.integers(0, 256, n, dtype=np.uint8).tobytes()
              for n in (4096, 4096, 3000, 1, 0, 4096, 777, 4096)]
@@ -145,6 +149,7 @@ def test_training_matches_across_jobs(tmp_path, monkeypatch):
     cfg = PipelineConfig(class_kind="cwe")
     serial = train_case(index, cfg, tmp_path, jobs=1)
     forked = train_case(index, cfg, tmp_path, jobs=2)
+    assert forks
     assert {wc: m.centroid.tobytes() for wc, m in serial.classes.items()} == \
         {wc: m.centroid.tobytes() for wc, m in forked.classes.items()}
     classes = engine._model_classes(serial, cfg)

@@ -1,4 +1,5 @@
 import hashlib
+import os
 import subprocess
 import sys
 import threading
@@ -6,6 +7,7 @@ import time
 
 import pytest
 
+from codewave import engine
 from codewave.cli import main
 from codewave.dnet import (PENDING, DemandStoreServer, StoreClient, deposit_demand,
                            run_worker)
@@ -414,7 +416,9 @@ class TestNlpReportPins:
                      for ext in ("xml", "txt"))
 
     @pytest.mark.parametrize("flags", list(PINS))
-    def test_outputs_pinned(self, corpus, flags):
+    def test_outputs_pinned(self, corpus, monkeypatch, forks, flags):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(engine, "FORK_BYTES", 0)
         root, train_xml, test_xml, base = corpus
         model = base / "model.cwnm"
         assert run_cli(["train", "--index", train_xml, "--root", root,
@@ -428,6 +432,7 @@ class TestNlpReportPins:
             out = base / f"jobs{jobs}"
             assert run_cli([*test_args, "--jobs", jobs, "--out", out]) == 0
             seen[f"jobs{jobs}"] = self.digests(out)
+        assert forks  # the --jobs 2 leg
         models, _ = load_models(model)
         cfg = parse_option_tokens(flags)
         with DemandStoreServer() as server:

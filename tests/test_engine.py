@@ -5,6 +5,7 @@ import warnings
 from decimal import Decimal
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -353,13 +354,16 @@ class TestTestCase:
         assert [w.weakness for w in warnings] == [CWE20]
         assert warnings[0].second_guess is None
 
-    def test_jobs_do_not_change_output(self, tiny_corpus):
+    def test_jobs_do_not_change_output(self, tiny_corpus, monkeypatch, forks):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(engine, "FORK_BYTES", 0)
         root, index = tiny_corpus
         model = train_case(index, SIGNAL_CFG, root)
         serial = classify_case(index.with_mode("test"), model, SIGNAL_CFG, root)
         parallel = classify_case(index.with_mode("test"), model, SIGNAL_CFG, root,
                              jobs=4)
         assert serial == parallel
+        assert forks
 
     def test_calibrated_threshold_keeps_training_files(self, tiny_corpus):
         root, index = tiny_corpus
@@ -520,12 +524,16 @@ SMALL_GRID += [PipelineConfig(class_kind="cwe", pipeline="nlp", smoothing=s)
 
 class TestJobsInvariance:
     @pytest.mark.parametrize("jobs", [2, 4])
-    def test_run_once_matches_serial(self, tiny_corpus, jobs):
+    def test_run_once_matches_serial(self, tiny_corpus, monkeypatch, forks, jobs):
+        monkeypatch.setattr(os, "cpu_count", lambda: jobs)
+        monkeypatch.setattr(engine, "FORK_BYTES", 0)
         root, index = tiny_corpus
         train, test = overlapping_indexes(index)
         for cfg in (SIGNAL_CFG, SMALL_GRID[-1]):
+            forks.clear()
             assert (repr(run_once(train, test, cfg, root, jobs=jobs))
                     == repr(run_once(train, test, cfg, root, jobs=1)))
+            assert forks
 
     @pytest.mark.parametrize("jobs", [2, 4])
     def test_sweep_matches_serial(self, tiny_corpus, jobs):
@@ -559,35 +567,30 @@ class TestJobsInvariance:
         assert entries[3].error == entries[4].error
         assert entries[3].error == "no cve classes found in the training index"
 
-    def test_one_fork_join_per_sweep(self, tiny_corpus, monkeypatch):
+    def test_one_fork_join_per_sweep(self, tiny_corpus, monkeypatch, forks):
         """The jobs split the configuration groups, not the files of each
         group's pass: one _fork_map call forks, and only once."""
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         root, index = tiny_corpus
         train, test = overlapping_indexes(index)
-        calls, forks = [], []
+        calls = []
 
         def fork_map(fn, items, jobs):
             calls.append((len(items), jobs))
             return _fork_map(fn, items, jobs)
-
-        def fork(real_fork=os.fork):
-            pid = real_fork()
-            if pid:  # counted in the parent only
-                forks.append(pid)
-            return pid
         monkeypatch.setattr(engine, "_fork_map", fork_map)
-        monkeypatch.setattr(os, "fork", fork)
         entries = sweep(train, test, SMALL_GRID, root, jobs=2)
         assert len(entries) == len(SMALL_GRID)
         assert [call for call in calls if call[1] != 1] == [(4, 2)]
         assert len(forks) == 1
 
     @pytest.mark.parametrize("cfg", SMALL_GRID[-2:], ids=lambda c: c.smoothing)
-    def test_nlp_tables_built_before_the_fork(self, tiny_corpus, monkeypatch, cfg):
+    def test_nlp_tables_built_before_the_fork(self, tiny_corpus, monkeypatch,
+                                              forks, cfg):
         """Forked children inherit the log-prob tables instead of each
         building them again; the report is the serial one."""
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(engine, "FORK_BYTES", 0)
         root, index = tiny_corpus
         train, test = overlapping_indexes(index)
         serial = classify_case(test, train_case(train, cfg, root), cfg, root, jobs=1)
@@ -601,6 +604,103 @@ class TestJobsInvariance:
         monkeypatch.setattr(engine, "_fork_map", fork_map)
         assert repr(classify_case(test, models, cfg, root, jobs=2)) == repr(serial)
         assert built == [True]
+        assert forks
+
+
+class TestForkBytes:
+    """A train or test pass forks only when each process gets at least
+    FORK_BYTES of input, whatever its file count."""
+
+    @pytest.fixture(autouse=True)
+    def two_cores(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+    @staticmethod
+    def corpus(root, sizes):
+        """A train index of files of the given sizes in two classes."""
+        rng = np.random.default_rng(3)
+        paths = [f"f{i:04d}.bin" for i in range(len(sizes))]
+        for path, size in zip(paths, sizes):
+            (root / path).write_bytes(rng.integers(0, 256, size, np.uint8).tobytes())
+        return CaseIndex("bytes", "1", mode="train", entries=[
+            IndexEntry(path, [((CWE20, CWE79)[i % 2], [])])
+            for i, path in enumerate(paths)])
+
+    @staticmethod
+    def stats(monkeypatch):
+        """Record every os.stat call from here on."""
+        calls = []
+
+        def stat(path, *args, real_stat=os.stat, **kwargs):
+            calls.append(path)
+            return real_stat(path, *args, **kwargs)
+        monkeypatch.setattr(os, "stat", stat)
+        return calls
+
+    def test_forty_small_files_run_in_process(self, tmp_path, forks):
+        index = self.corpus(tmp_path, [4096] * 40)
+        paths = [entry.path for entry in index.entries]
+        rows = [engine._feature_rows(SIGNAL_CFG, tmp_path, paths, jobs)
+                for jobs in (1, 2)]
+        assert forks == []
+        assert [r.tobytes() for r in rows[0].values()] == \
+            [r.tobytes() for r in rows[1].values()]
+        model = train_case(index, SIGNAL_CFG, tmp_path, jobs=2)
+        test = index.with_mode("test")
+        assert classify_case(test, model, SIGNAL_CFG, tmp_path, jobs=2) == \
+            classify_case(test, model, SIGNAL_CFG, tmp_path, jobs=1)
+        assert forks == []
+
+    @pytest.mark.parametrize("last, want", [(0, 1), (-1, 0)],
+                             ids=["two processes' worth", "one byte short"])
+    def test_fork_needs_two_processes_worth_of_input(self, tmp_path, forks, last,
+                                                     want):
+        index = self.corpus(tmp_path, [engine.FORK_BYTES, engine.FORK_BYTES + last])
+        paths = [entry.path for entry in index.entries]
+        serial = engine._feature_rows(SIGNAL_CFG, tmp_path, paths, 1)
+        assert forks == []
+        forked = engine._feature_rows(SIGNAL_CFG, tmp_path, paths, 2)
+        assert len(forks) == want
+        assert [r.tobytes() for r in serial.values()] == \
+            [r.tobytes() for r in forked.values()]
+
+    def test_one_job_stats_no_file(self, tmp_path, monkeypatch, forks):
+        index = self.corpus(tmp_path, [4096] * 40)
+        calls = self.stats(monkeypatch)
+        model = train_case(index, SIGNAL_CFG, tmp_path, jobs=1)
+        classify_case(index.with_mode("test"), model, SIGNAL_CFG, tmp_path, jobs=1)
+        assert calls == [] and forks == []
+
+    def test_stats_stop_once_both_processes_are_earned(self, tmp_path,
+                                                       monkeypatch, forks):
+        index = self.corpus(tmp_path, [4096] * 1000)
+        paths = [entry.path for entry in index.entries]
+        calls = self.stats(monkeypatch)
+        engine._feature_rows(SIGNAL_CFG, tmp_path, paths, 2)
+        assert len(calls) == 2 * engine.FORK_BYTES // 4096
+        assert len(forks) == 1
+
+    @pytest.mark.parametrize("fork_bytes", [None, 0], ids=["below", "above"])
+    @pytest.mark.parametrize("missing", [0, -1], ids=["first", "last"])
+    def test_missing_file_fails_alike_at_any_jobs(self, tmp_path, monkeypatch,
+                                                  forks, fork_bytes, missing):
+        if fork_bytes is not None:
+            monkeypatch.setattr(engine, "FORK_BYTES", fork_bytes)
+        index = self.corpus(tmp_path, [4096] * 40)
+        model = train_case(index, SIGNAL_CFG, tmp_path, jobs=1)
+        (tmp_path / index.entries[missing].path).unlink()
+        for run in (lambda jobs: train_case(index, SIGNAL_CFG, tmp_path, jobs),
+                    lambda jobs: classify_case(index.with_mode("test"), model,
+                                               SIGNAL_CFG, tmp_path, jobs)):
+            failures = []
+            for jobs in (1, 2):
+                with pytest.raises(OSError) as caught:
+                    run(jobs)
+                failures.append((type(caught.value), str(caught.value)))
+            assert failures[0] == failures[1]
+            assert failures[0][0] is FileNotFoundError
+        # only a forced fork reaches the missing last file from a child
+        assert bool(forks) == (fork_bytes == 0)
 
 
 class TestForkMap:

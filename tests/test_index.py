@@ -1,8 +1,11 @@
+import os
+import re
+
 import pytest
 
 from codewave.errors import ConfigError, IndexFormatError
 from codewave.index import (Annotation, IndexEntry, WeaknessClass,
-                            annotate_synthetic, collect_files,
+                            annotate_synthetic, check_corpus_path, collect_files,
                             derive_binary_index, halve_training, load_index,
                             write_index)
 from codewave.index import TestCaseIndex as CaseIndex
@@ -52,6 +55,14 @@ class TestCollectFiles:
     def test_unreadable_root(self, tmp_path):
         with pytest.raises(IOError):
             collect_files(tmp_path / "absent", [".c"])
+
+    def test_undecodable_file_name_refused(self, tmp_path):
+        """A non-UTF-8 name comes back surrogate-escaped, which no index
+        can be written with; collect_files names it instead."""
+        with open(os.fsencode(tmp_path) + b"/caf\xe9.c", "wb"):
+            pass
+        with pytest.raises(ValueError, match=r"'caf\\udce9\.c'.*XML 1\.0"):
+            collect_files(tmp_path, [".c"])
 
 
 class TestAnnotateSynthetic:
@@ -141,6 +152,17 @@ class TestPersistence:
             f'<file path="{path}"/></index>')
         with pytest.raises(IndexFormatError, match="escape.xml.*corpus root"):
             load_index(target)
+
+    @pytest.mark.parametrize("path", ["a\x01b.c", "nul\x00.c", "esc\x1b.c",
+                                      "caf\udce9.c", "\ufffe.c"])
+    def test_path_xml_cannot_carry_rejected(self, path):
+        with pytest.raises(ValueError, match=f"{re.escape(repr(path))}.*XML 1\\.0"):
+            check_corpus_path(path)
+
+    def test_paths_xml_can_carry_roundtrip(self, tmp_path):
+        index = CaseIndex("c", "1", [IndexEntry(path) for path in (
+            "tab\tname.c", "caf\xe9.c", "\u6f22\u5b57.c", "\U0001f600.c", "\ue000.c")])
+        assert self.roundtrip(index, tmp_path) == index
 
     def test_dotted_names_under_the_root_accepted(self):
         for path in ("a..c", ".hidden/x.c", "./a.c", "d/..e/f.c"):
