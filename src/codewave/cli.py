@@ -25,11 +25,9 @@ from .classify import MAGIC as TRAINING_SET_MAGIC
 from .classify import TrainingSet, load_training_set, save_training_set
 from .engine import (ModelType, PipelineConfig, default_grid, is_pipeline_flag,
                      merge_sweep_stats, parse_option_tokens, score_stats,
-                     sweep, test_case, train_case, trained_hash)
+                     signal_rows, sweep, test_case, train_case, trained_hash)
 from .errors import CodewaveError, ConfigError, ModelFormatError, TransportError
 from .index import load_index
-from .loader import samples_from_bytes
-from .preprocess import preprocess_rows
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -161,17 +159,14 @@ def _write_reports(warnings, cfg: PipelineConfig, index, out_dir: Path,
     if cfg.spectrogram or cfg.graph:
         image_dir = out_dir / "images"
         for entry in index.entries:
-            samples = samples_from_bytes((root / entry.path).read_bytes(),
-                                         cfg.loader_ngram)
-            rows = preprocess_rows(samples[None], cfg.filter_spec())
-            mangled = entry.path.replace("/", "_")
+            signal = signal_rows(cfg, [(root / entry.path).read_bytes()])[0]
             if cfg.spectrogram:
-                path = image_dir / f"{mangled}-spectrogram.pgm"
-                _atomic_write(path, report.export_spectrogram(rows[0]))
+                path = image_dir / f"{entry.path}-spectrogram.pgm"
+                _atomic_write(path, report.export_spectrogram(signal))
                 written.append(path)
             if cfg.graph:
-                path = image_dir / f"{mangled}-wave.pgm"
-                _atomic_write(path, report.export_wave_image(rows[0]))
+                path = image_dir / f"{entry.path}-wave.pgm"
+                _atomic_write(path, report.export_wave_image(signal))
                 written.append(path)
     return written
 

@@ -268,21 +268,19 @@ def parse_option_string(option_string: str) -> PipelineConfig:
 # --- features: samples in blocks, one row per file -------------------------------
 
 # Files are read one at a time, then turned into samples, preprocessed and
-# extracted a block at a time, as 2-D arrays. A block holds at most this
-# many input bytes: 4 files of 4 KB, whose samples (8 bytes per input byte)
-# just fit under 128 KB, the size from which glibc's malloc maps each array
-# afresh and, once one such array is freed, returns freed memory to the
-# system after every block, so the next block faults its pages in again.
-# For the same reason a block keeps its files as bytes and makes samples
-# one group of equal-length files at a time: on files of mixed lengths,
-# where nearly every group is one file, samples made for the whole block
-# at once cost 8 times the page faults of the per-file code.
+# extracted a block at a time, as 2-D arrays. A block is a run of consecutive
+# files of one length holding at most this many input bytes: 4 files of 4 KB,
+# whose samples (8 bytes per input byte) just fit under 128 KB, the size from
+# which glibc's malloc maps each array afresh and, once one such array is
+# freed, returns freed memory to the system after every block, so the next
+# block faults its pages in again.
 # Measured on 4 KB files (-raw -fft): in 40-file passes, 32 KB blocks cost
 # 28 page faults and 146 us per file where 16 KB blocks cost 0.1 faults and
 # 119 us (one file at a time: 0.1 faults, 136 us); in 1,600-file passes both
 # take about 91 us. Larger blocks also raise peak memory (256 KB blocks add
-# 4.7 MB to a 200-class scan's 51 MB). A file that would take a block past
-# the bound starts the next one, and a larger file is a block of its own.
+# 4.7 MB to a 200-class scan's 51 MB). A file of another length, or one that
+# would take a block past the bound, starts the next block, and a larger file
+# is a block of its own.
 BLOCK_BYTES = 16 * 1024
 
 
@@ -291,32 +289,26 @@ def _feature_dim(cfg: PipelineConfig) -> int:
             "minmax": cfg.minmax_d}[cfg.extractor]
 
 
+def signal_rows(cfg: PipelineConfig, contents: list[bytes]) -> np.ndarray:
+    """The preprocessed samples of equal-length files, one row per file,
+    bit-identical to processing each file on its own."""
+    samples = [samples_from_bytes(data, cfg.loader_ngram) for data in contents]
+    # one file's samples become a row without a copy: a large binary's
+    # samples are 8 times its size
+    rows = samples[0][np.newaxis] if len(samples) == 1 else np.stack(samples)
+    del samples
+    return preprocess_rows(rows, cfg.filter_spec())
+
+
 def _block_features(cfg: PipelineConfig, contents: list[bytes]) -> np.ndarray:
-    """Feature rows of files of any lengths. The samples of files of equal
-    length are stacked and preprocessed and extracted as one 2-D array; the
-    rows come out bit-identical to processing each file on its own."""
-    out = np.empty((len(contents), _feature_dim(cfg)))
-    groups: dict[int, list[int]] = {}
-    for i, data in enumerate(contents):
-        groups.setdefault(len(data), []).append(i)
-    spec = cfg.filter_spec()
-    for members in groups.values():
-        # samples (8 bytes per input byte) are made one group at a time, so
-        # that little more than one group's arrays is live at once
-        samples = [samples_from_bytes(contents[i], cfg.loader_ngram)
-                   for i in members]
-        rows = samples[0][np.newaxis] if len(members) == 1 else np.stack(samples)
-        del samples
-        rows = preprocess_rows(rows, spec)
-        if cfg.extractor == "fft":
-            out[members] = fft_features(rows, cfg.fft_window, cfg.fft_bins)
-        elif cfg.extractor == "lpc":
-            out[members] = lpc_features(rows, cfg.lpc_order)
-        else:
-            out[members] = minmax_features(rows, cfg.minmax_d)
-    if not np.all(np.isfinite(out)):
-        raise ValueError("feature vector contains non-finite values")
-    return out
+    """Feature rows of a block of equal-length files, extracted as one 2-D
+    array."""
+    rows = signal_rows(cfg, contents)
+    if cfg.extractor == "fft":
+        return fft_features(rows, cfg.fft_window, cfg.fft_bins)
+    if cfg.extractor == "lpc":
+        return lpc_features(rows, cfg.lpc_order)
+    return minmax_features(rows, cfg.minmax_d)
 
 
 # --- warnings and statistics ---------------------------------------------------
@@ -585,15 +577,17 @@ def _features(cfg: PipelineConfig, root, paths: list[str]) -> np.ndarray:
     """N x d float64 feature matrix, one row per file, filled a block of
     files at a time (see BLOCK_BYTES)."""
     matrix = np.empty((len(paths), _feature_dim(cfg)))
-    block, size, start = [], 0, 0
+    block, start = [], 0
     for i, data in enumerate(_contents(root, paths)):
-        if block and size + len(data) > BLOCK_BYTES:
+        if block and (len(data) != len(block[0])
+                      or (len(block) + 1) * len(data) > BLOCK_BYTES):
             matrix[start:i] = _block_features(cfg, block)
-            block, size, start = [], 0, i
+            block, start = [], i
         block.append(data)
-        size += len(data)
     if block:
         matrix[start:] = _block_features(cfg, block)
+    if not np.all(np.isfinite(matrix)):
+        raise ValueError("feature vector contains non-finite values")
     return matrix
 
 

@@ -23,16 +23,14 @@ def extract_fft(signal: Signal, window: int = 1024, d: int = 512) -> np.ndarray:
     return fft_features(signal.samples[np.newaxis], window, d)[0]
 
 
-def fft_features(rows: np.ndarray, window: int = 1024, d: int = 512) -> np.ndarray:
-    """Mean magnitude spectrum over non-overlapping windows, per row.
+def frame_magnitudes(rows: np.ndarray, window: int, d: int) -> np.ndarray:
+    """The first `d` magnitude bins of every window of every row, shaped
+    (rows, windows, d).
 
-    Each row of a 2-D array of equal-length signals is cut into windows of
-    `window` samples (the last one zero-padded; an empty signal counts as
-    one all-zero window), each is transformed, and the first `d` of the
-    lower window/2 magnitude bins are averaged element-wise across windows.
+    Each row of a 2-D array of equal-length signals is cut into
+    non-overlapping windows of `window` samples (the last one zero-padded;
+    an empty signal counts as one all-zero window) and each is transformed.
     """
-    if d > window // 2:
-        raise ConfigError(f"d={d} exceeds window/2={window // 2}")
     count, n = rows.shape
     n_windows = max(1, -(-n // window))
     padded = np.zeros((count, n_windows * window), dtype=np.float64)
@@ -40,7 +38,16 @@ def fft_features(rows: np.ndarray, window: int = 1024, d: int = 512) -> np.ndarr
     frames = padded.reshape(count, n_windows, window)
     # abs over the whole contiguous spectrum: on a sliced one numpy buffers
     # every call through a fresh 128 KB block, which faults pages in anew
-    return np.abs(np.fft.rfft(frames, axis=2))[:, :, :d].mean(axis=1)
+    return np.abs(np.fft.rfft(frames, axis=2))[:, :, :d]
+
+
+def fft_features(rows: np.ndarray, window: int = 1024, d: int = 512) -> np.ndarray:
+    """Mean magnitude spectrum over non-overlapping windows, per row: the
+    first `d` of the lower window/2 bins of `frame_magnitudes`, averaged
+    element-wise across windows."""
+    if d > window // 2:
+        raise ConfigError(f"d={d} exceeds window/2={window // 2}")
+    return frame_magnitudes(rows, window, d).mean(axis=1)
 
 
 def autocorrelation(x: np.ndarray, max_lag: int) -> np.ndarray:

@@ -19,6 +19,7 @@ import numpy as np
 
 from .engine import RunStats, ScanWarning
 from .errors import IndexFormatError
+from .features import frame_magnitudes
 from .index import WeaknessClass
 
 
@@ -154,21 +155,19 @@ def export_forensic_lucid(warnings: Iterable[ScanWarning], meta: CaseMeta) -> st
     for w in _ordered(warnings):
         by_path.setdefault(w.path, []).append(w)
 
-    def ident(text: str) -> str:
-        return "".join(c if c.isalnum() else "_" for c in text)
-
-    case_id = ident(meta.case_name + ("_" + meta.case_version
-                                      if meta.case_version else ""))
+    case_id = "".join(c if c.isalnum() else "_" for c in meta.case_name + (
+        "_" + meta.case_version if meta.case_version else ""))
     lines = [f"// evidential statement for case {meta.case_name}"
              f"{' ' + meta.case_version if meta.case_version else ''}"]
     seq_names = []
     observations = []
-    for path, group in by_path.items():
-        seq_name = f"os_{ident(path)}"
+    # names number the files in path order; each context carries the path
+    for k, (path, group) in enumerate(by_path.items(), 1):
+        seq_name = f"os_{k}"
         seq_names.append(seq_name)
         obs_names = []
         for i, w in enumerate(group, 1):
-            obs_name = f"o_{ident(path)}_{i}"
+            obs_name = f"o_{k}_{i}"
             obs_names.append(obs_name)
             context = (
                 f"[case:{_quote(meta.case_name)}, path:{_quote(path)}, "
@@ -265,12 +264,7 @@ def export_spectrogram(samples: np.ndarray, window: int = 256) -> bytes:
     x = np.asarray(samples, dtype=np.float64)
     if len(x) == 0:
         return _pgm(np.zeros((1, 1), dtype=np.uint8))
-    n_windows = -(-len(x) // window)
-    padded = np.zeros(n_windows * window, dtype=np.float64)
-    padded[: len(x)] = x
-    frames = padded.reshape(n_windows, window)
-    magnitude = np.abs(np.fft.rfft(frames, axis=1))[:, : window // 2]
-    levels = np.log1p(magnitude)
+    levels = np.log1p(frame_magnitudes(x[np.newaxis], window, window // 2)[0])
     peak = float(levels.max())
     if peak > 0.0:
         levels = levels * (255.0 / peak)

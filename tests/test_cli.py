@@ -7,12 +7,13 @@ import time
 
 import pytest
 
-from codewave import engine
+from codewave import engine, report
 from codewave.cli import main
 from codewave.dnet import (PENDING, DemandStoreServer, StoreClient, deposit_demand,
                            run_worker)
 from codewave.engine import parse_option_tokens, train_case
-from codewave.index import load_index, write_index
+from codewave.index import IndexEntry, WeaknessClass, load_index, write_index
+from codewave.index import TestCaseIndex as CaseIndex
 from codewave.nlp import load_models, save_models
 from codewave.report import parse_sate_xml
 
@@ -152,41 +153,41 @@ class TestTrainTest:
 
     # image file -> SHA-256 of the PGM that `test -spectrogram -graph` writes
     IMAGE_PINS = {
-        "c0_f000.bin-spectrogram.pgm":
+        "c0/f000.bin-spectrogram.pgm":
             "f75b0c3fd1c216503f82116b87281d4a02d7b5f187e0ba9917087e6b0cd359ec",
-        "c0_f000.bin-wave.pgm":
+        "c0/f000.bin-wave.pgm":
             "cd1b7fb142e3e3b073cdb6f58e72752fff130c48f691145b3a10de3d7b97b61b",
-        "c0_f001.bin-spectrogram.pgm":
+        "c0/f001.bin-spectrogram.pgm":
             "6a5341abc4ed3c50c5eef62e21e4dd46514c43ce6f66266da53d2d3e4f81aa75",
-        "c0_f001.bin-wave.pgm":
+        "c0/f001.bin-wave.pgm":
             "6c01febe0cc79a97df939d60e0d7ca87d8d909709cd9b66c11ec8c145b278d27",
-        "c0_f002.bin-spectrogram.pgm":
+        "c0/f002.bin-spectrogram.pgm":
             "5f15df2fc753056e2f1c4461263769c0998bb0e25e85290f94a596a21d711c6e",
-        "c0_f002.bin-wave.pgm":
+        "c0/f002.bin-wave.pgm":
             "d0ba56168de71d18117fecf6beb7489072553a495162c03fd18a6ea5a0f23e0a",
-        "c1_f000.bin-spectrogram.pgm":
+        "c1/f000.bin-spectrogram.pgm":
             "a7ddb7ce1f970d06bd306a521e1bf9a523975de457292b2f0ea2ddaf41d7939f",
-        "c1_f000.bin-wave.pgm":
+        "c1/f000.bin-wave.pgm":
             "9da434182545fc0304c9b1b2854da8ade3720b4c6d41775cee53255b82171dc7",
-        "c1_f001.bin-spectrogram.pgm":
+        "c1/f001.bin-spectrogram.pgm":
             "35e558cf7349d325881764a53d9c94881ae35c611d7c86d22ef336c8a4d14898",
-        "c1_f001.bin-wave.pgm":
+        "c1/f001.bin-wave.pgm":
             "7111cf2ce70f72ee2e353bf4178cf750fbc8f532b8cb3a31c2e2dd30e5984188",
-        "c1_f002.bin-spectrogram.pgm":
+        "c1/f002.bin-spectrogram.pgm":
             "8183d668bd837dcefb89aeded5a7e254ca92cd91fa95ab7367c1f445fc1639cc",
-        "c1_f002.bin-wave.pgm":
+        "c1/f002.bin-wave.pgm":
             "e717d42ae6f0106be1745ae2b4c905f1e617620ac64441b0fec459310818a83a",
-        "c2_f000.bin-spectrogram.pgm":
+        "c2/f000.bin-spectrogram.pgm":
             "f6a8e4d4d5b22a361d71795bcd8563e4b7194eb16a1b9221ef3abf6eef808f8b",
-        "c2_f000.bin-wave.pgm":
+        "c2/f000.bin-wave.pgm":
             "165a0cc7cce69cd1e27e79a67cb46bd694934f6e20b104095e50566a3d42cd46",
-        "c2_f001.bin-spectrogram.pgm":
+        "c2/f001.bin-spectrogram.pgm":
             "c9a7dd16ed54b4b7ec81bbc2b79c709b15cbc17993997532d1e26d876175038a",
-        "c2_f001.bin-wave.pgm":
+        "c2/f001.bin-wave.pgm":
             "1fafced9f4972ce3dfd0d254debc5d54a41aebae3ca0f7a65785980617ced9f4",
-        "c2_f002.bin-spectrogram.pgm":
+        "c2/f002.bin-spectrogram.pgm":
             "4b3d4fff3a48de9279d4bafe65743bde1a33d97c7aa2441145b804543312d3df",
-        "c2_f002.bin-wave.pgm":
+        "c2/f002.bin-wave.pgm":
             "d6442411dd6c6b8071a7d1203fec1fb7a640f5ba62b2809cd87482fc1ef2da36",
     }
 
@@ -200,10 +201,43 @@ class TestTrainTest:
         assert run_cli(["test", "--index", test_xml, "--root", root,
                         "--model", model, "--out", out, *flags]) == 0
         assert list(out.glob("report-*.ipl"))
-        images = list((out / "images").glob("*.pgm"))
+        images = list((out / "images").rglob("*.pgm"))
         assert len(images) == 18  # 9 files x (spectrogram + wave)
-        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        assert {p.relative_to(out / "images").as_posix():
+                hashlib.sha256(p.read_bytes()).hexdigest()
                 for p in images} == self.IMAGE_PINS
+
+
+    def test_images_of_paths_that_mangle_alike_are_both_written(self, tmp_path,
+                                                                capsys):
+        # with "/" read as "_", both files would write images/a_b.bin-*.pgm
+        root = tmp_path / "corpus"
+        (root / "a").mkdir(parents=True)
+        contents = {"a/b.bin": bytes(range(256)) * 2, "a_b.bin": bytes(512)}
+        for path, data in contents.items():
+            (root / path).write_bytes(data)
+        classes = (WeaknessClass.cwe("CWE-20"), WeaknessClass.cwe("CWE-79"))
+        index = CaseIndex("pair", "1", mode="train", entries=[
+            IndexEntry(path, [(wc, [])]) for path, wc in zip(contents, classes)])
+        write_index(index, tmp_path / "train.xml")
+        write_index(index.with_mode("test"), tmp_path / "test.xml")
+        flags = CFG_FLAGS + ["-spectrogram", "-graph"]
+        model, out = tmp_path / "model.cwts", tmp_path / "out"
+        assert run_cli(["train", "--index", tmp_path / "train.xml", "--root", root,
+                        "--model", model, *flags]) == 0
+        capsys.readouterr()
+        assert run_cli(["test", "--index", tmp_path / "test.xml", "--root", root,
+                        "--model", model, "--out", out, *flags]) == 0
+        assert len(list((out / "images").rglob("*.pgm"))) == 4
+        written = capsys.readouterr().out.split("wrote ", 1)[1].strip().split(", ")
+        assert len(written) == len(set(written)) == 4 + 2  # images, xml, txt
+        cfg = parse_option_tokens(flags)
+        for path, data in contents.items():
+            signal = engine.signal_rows(cfg, [data])[0]
+            assert (out / "images" / f"{path}-wave.pgm").read_bytes() == \
+                report.export_wave_image(signal)
+            assert (out / "images" / f"{path}-spectrogram.pgm").read_bytes() == \
+                report.export_spectrogram(signal)
 
 
 class TestUsageErrors:

@@ -703,6 +703,30 @@ class TestForkBytes:
         assert bool(forks) == (fork_bytes == 0)
 
 
+class TestBlocks:
+    """A block is a run of consecutive files of one length holding at most
+    BLOCK_BYTES of input; each block is preprocessed as one 2-D array."""
+
+    @pytest.mark.parametrize("sizes, blocks", [
+        ([4096] * 8, [4, 4]),
+        ([100, 200, 100, 200], [1, 1, 1, 1]),
+        ([4096, 4096, engine.BLOCK_BYTES + 1, 4096, 4096], [2, 1, 2]),
+    ], ids=["4 KB files", "alternating lengths", "large file between"])
+    def test_rows_per_block(self, tmp_path, monkeypatch, sizes, blocks):
+        rng = np.random.default_rng(9)
+        paths = [f"f{i}.bin" for i in range(len(sizes))]
+        for path, size in zip(paths, sizes):
+            (tmp_path / path).write_bytes(rng.integers(0, 256, size, np.uint8).tobytes())
+        seen = []
+
+        def preprocess_rows(rows, spec, real=engine.preprocess_rows):
+            seen.append(len(rows))
+            return real(rows, spec)
+        monkeypatch.setattr(engine, "preprocess_rows", preprocess_rows)
+        engine._features(SIGNAL_CFG, tmp_path, paths)
+        assert seen == blocks
+
+
 class TestForkMap:
     """Failures in a forked chunk reach the caller; two jobs always fork."""
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,17 @@ class TestForensicLucid:
         warnings = [warning(path="b.c"), warning(path="a.c")]
         assert export_forensic_lucid(warnings, META) == \
             export_forensic_lucid(list(reversed(warnings)), META)
+
+    def test_paths_that_read_alike_get_distinct_names(self):
+        # "a/b.c" and "a_b.c" both read a_b_c with punctuation made "_"
+        text = export_forensic_lucid([warning(path="a_b.c"), warning(path="a/b.c")],
+                                     META)
+        names = re.findall(r"^observation (?:sequence )?(\w+) =", text, re.M)
+        assert sorted(names) == ["o_1_1", "o_2_1", "os_1", "os_2"]
+        assert 'observation o_1_1 = ([case:"wireshark", path:"a/b.c",' in text
+        assert 'observation o_2_1 = ([case:"wireshark", path:"a_b.c",' in text
+        assert text.endswith(
+            "evidential statement es_wireshark_1_2_0 = { os_1, os_2 };\n")
 
 
 class TestStatsTable:
