@@ -25,7 +25,7 @@ import socket
 import socketserver
 import threading
 import time
-from dataclasses import dataclass, field
+from collections import OrderedDict
 from pathlib import Path
 from typing import Optional
 
@@ -61,17 +61,6 @@ def content_digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-@dataclass
-class Demand:
-    signature: str
-    path: str
-    content_kind: str = "source"
-    state: str = PENDING
-    result: Optional[list | dict] = None  # stored as the worker sent it
-    worker: Optional[str] = None
-    lease_expiry: Optional[float] = None
-
-
 def deposit_demand(store: "DemandStore | StoreClient", case: str, path: str,
                    data: bytes, cfg: PipelineConfig,
                    content_kind: str = "source") -> tuple[str, str]:
@@ -83,53 +72,70 @@ def deposit_demand(store: "DemandStore | StoreClient", case: str, path: str,
     return signature, store.deposit(signature, path, content_kind)
 
 
-@dataclass
 class DemandStore:
     """The single authority over demand state transitions.
+
+    A demand's state is the dict that holds it: `pending` (path,
+    content_kind), `leased` (path, content_kind, worker, expiry) or
+    `results` (the row as sent); each transition moves it to the next.
+    Leases are all `lease_timeout` long, so they run out in the order of
+    `leased`. (OrderedDicts: a plain dict slows down on pops from its front.)
 
     All mutating calls take the store lock, so transitions are atomic no
     matter how many worker connections race. A worker that picks up a
     demand and dies simply lets the lease run out, after which the demand
-    is pending again.
+    is pending again, ahead of the demands never leased.
     """
 
-    lease_timeout: float = DEFAULT_LEASE
-    demands: dict[str, Demand] = field(default_factory=dict)
-    discarded: list[tuple[str, str]] = field(default_factory=list)
-
-    def __post_init__(self):
+    def __init__(self, lease_timeout: float = DEFAULT_LEASE):
+        self.lease_timeout = lease_timeout
+        self.pending: OrderedDict[str, tuple[str, str]] = OrderedDict()
+        self.leased: OrderedDict[str, tuple[str, str, str, float]] = OrderedDict()
+        self.results: dict[str, list | dict] = {}
+        self.discarded: list[tuple[str, str]] = []
         self._lock = threading.Lock()
+
+    def state(self, signature: str) -> Optional[str]:
+        """The demand's state, or None for an unknown signature."""
+        with self._lock:
+            return self._state(signature)
+
+    def _state(self, signature: str) -> Optional[str]:
+        if signature in self.results:
+            return COMPUTED
+        if signature in self.leased:
+            return IN_PROGRESS
+        return PENDING if signature in self.pending else None
 
     def deposit(self, signature: str, path: str,
                 content_kind: str = "source") -> str:
         """Insert new work, or report the state of already-known work."""
         with self._lock:
-            demand = self.demands.get(signature)
-            if demand is not None:
-                return demand.state
-            self.demands[signature] = Demand(signature, path, content_kind)
-            return PENDING
+            state = self._state(signature)
+            if state is None:
+                self.pending[signature] = (path, content_kind)
+            return state or PENDING
 
-    def pickup(self, worker_id: str) -> Optional[Demand]:
-        """Atomically lease one pending demand to the worker, if any."""
-        now = time.monotonic()
+    def pickup(self, worker_id: str) -> Optional[tuple[str, str, str]]:
+        """Atomically lease one pending demand to the worker, if any: its
+        (signature, path, content_kind). Expired leases go first."""
         with self._lock:
-            for demand in self.demands.values():
-                if (demand.state == IN_PROGRESS
-                        and demand.lease_expiry is not None
-                        and demand.lease_expiry <= now):
-                    log.info("lease expired on %s (worker %s)",
-                             demand.signature[:12], demand.worker)
-                    demand.state = PENDING
-                    demand.worker = None
-                    demand.lease_expiry = None
-            for demand in self.demands.values():
-                if demand.state == PENDING:
-                    demand.state = IN_PROGRESS
-                    demand.worker = worker_id
-                    demand.lease_expiry = now + self.lease_timeout
-                    return Demand(**vars(demand))
-            return None
+            now = time.monotonic()  # under the lock: expiries stay in order
+            expired = []
+            for signature, (_, _, worker, expiry) in self.leased.items():
+                if expiry > now:
+                    break
+                log.info("lease expired on %s (worker %s)", signature[:12], worker)
+                expired.append(signature)
+            for signature in reversed(expired):
+                self.pending[signature] = self.leased.pop(signature)[:2]
+                self.pending.move_to_end(signature, last=False)
+            if not self.pending:
+                return None
+            signature, (path, content_kind) = self.pending.popitem(last=False)
+            self.leased[signature] = (path, content_kind, worker_id,
+                                      now + self.lease_timeout)
+            return signature, path, content_kind
 
     def deposit_result(self, signature: str, worker_id: str,
                        result: list) -> str:
@@ -139,31 +145,24 @@ class DemandStore:
         conflicting late values are discarded and recorded.
         """
         with self._lock:
-            demand = self.demands.get(signature)
-            if demand is None:
-                raise ProtocolError(
-                    f"result for unknown signature {signature[:12]}")
-            if demand.state == COMPUTED:
-                if demand.result == result:
+            if signature in self.results:
+                if self.results[signature] == result:
                     return "duplicate"
                 self.discarded.append((signature, worker_id))
                 log.warning("discarding conflicting late result for %s from %s",
                             signature[:12], worker_id)
                 return "stale"
-            demand.state = COMPUTED
-            demand.result = result
-            demand.worker = worker_id
-            demand.lease_expiry = None
+            if (self.leased.pop(signature, None) is None
+                    and self.pending.pop(signature, None) is None):
+                raise ProtocolError(
+                    f"result for unknown signature {signature[:12]}")
+            self.results[signature] = result
             return "stored"
 
     def harvest(self, signatures: list[str]) -> dict[str, list]:
         """Return the subset of requested results that are computed."""
         with self._lock:
-            return {
-                s: self.demands[s].result
-                for s in signatures
-                if s in self.demands and self.demands[s].state == COMPUTED
-            }
+            return {s: self.results[s] for s in signatures if s in self.results}
 
 
 # --- framing -------------------------------------------------------------------
@@ -228,12 +227,12 @@ class _StoreHandler(socketserver.BaseRequestHandler):
             return {"type": "ACK", "signature": signature,
                     "payload": {"state": state}}
         if kind == "PICKUP":
-            demand = store.pickup(payload.get("worker_id", "anonymous"))
-            if demand is None:
+            leased = store.pickup(payload.get("worker_id", "anonymous"))
+            if leased is None:
                 return {"type": "ACK", "signature": None, "payload": None}
-            return {"type": "ACK", "signature": demand.signature,
-                    "payload": {"path": demand.path,
-                                "content_kind": demand.content_kind}}
+            signature, path, content_kind = leased
+            return {"type": "ACK", "signature": signature,
+                    "payload": {"path": path, "content_kind": content_kind}}
         if kind == "RESULT":
             status = store.deposit_result(
                 signature, payload.get("worker_id", "anonymous"),

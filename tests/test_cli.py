@@ -285,7 +285,7 @@ class TestUsageErrors:
             host, port = server.address
             assert run_cli(["work", "--store", f"{host}:{port}", "--model", model,
                             "--root", root, "--idle-exit", "-5", *CFG_FLAGS]) == 1
-            assert server.store.demands["sig1"].state == PENDING  # not leased
+            assert server.store.state("sig1") == PENDING  # not leased
 
 
 class TestReportCommand:

@@ -33,7 +33,7 @@ class TestSignatures:
         again, state2 = deposit_demand(store, "case", "a.c", b"body", cfg)
         assert again == sig
         assert state2 == PENDING  # not computed yet, also not duplicated
-        assert len(store.demands) == 1
+        assert len(store.pending) == 1
 
     def test_content_change_invalidates(self):
         a = signature_for("case", "a.c", "-raw", content_digest(b"one"))
@@ -50,9 +50,9 @@ class TestDemandStore:
         store = DemandStore()
         store.deposit("sig1", "a.c")
         demand = store.pickup("w1")
-        store.deposit_result(demand.signature, "w1", RESULT)
+        store.deposit_result(demand[0], "w1", RESULT)
         assert store.deposit("sig1", "a.c") == COMPUTED
-        assert store.demands["sig1"].state == COMPUTED
+        assert store.state("sig1") == COMPUTED
 
     def test_pickup_race_is_exclusive(self):
         store = DemandStore()
@@ -64,7 +64,7 @@ class TestDemandStore:
             barrier.wait()
             demand = store.pickup("w")
             if demand is not None:
-                hits.append(demand.signature)
+                hits.append(demand[0])
 
         threads = [threading.Thread(target=grab) for _ in range(8)]
         for t in threads:
@@ -83,7 +83,7 @@ class TestDemandStore:
         assert store.pickup("w2") is None  # still leased
         time.sleep(0.08)
         again = store.pickup("w2")
-        assert again is not None and again.signature == "sig1"
+        assert again is not None and again[0] == "sig1"
 
     def test_result_for_unknown_signature_rejected(self):
         with pytest.raises(ProtocolError):
@@ -154,7 +154,7 @@ class TestWireProtocol:
                 send_message(sock, {"type": "DEPOSIT", "signature": "s2",
                                     "payload": {"path": "b.c"}})
                 assert recv_message(sock)["payload"] == {"state": PENDING}
-            assert list(server.store.demands) == ["s2"]
+            assert list(server.store.pending) == ["s2"]
 
     def test_huge_length_prefix_is_read_in_bounded_chunks(self):
         class Feed:
@@ -250,7 +250,7 @@ class TestDistributedEquivalence:
         def harvest_after_one_more_result(client, signatures):
             demand = server.store.pickup("w0")  # a worker serves one demand
             if demand is not None:
-                server.store.deposit_result(demand.signature, "w0",
+                server.store.deposit_result(demand[0], "w0",
                                             [0.0, 1.0, 2.0])
             computed = harvest(client, signatures)
             polls.append((list(signatures), set(computed)))
@@ -278,7 +278,7 @@ class TestRefusals:
             with pytest.raises(ConfigError):
                 run_worker(host, port, model, PipelineConfig(class_kind="cwe"),
                            root, "w0", idle_limit=1)
-            assert server.store.demands["sig1"].state == PENDING  # not leased
+            assert server.store.state("sig1") == PENDING  # not leased
 
     def test_worker_with_a_median_model_and_mean_flags_leases_nothing(
             self, corpus):
@@ -290,7 +290,7 @@ class TestRefusals:
             host, port = server.address
             with pytest.raises(ConfigError, match="median centroids"):
                 run_worker(host, port, model, CFG, root, "w0", idle_limit=1)
-            assert server.store.demands["sig1"].state == PENDING  # not leased
+            assert server.store.state("sig1") == PENDING  # not leased
 
     def test_worker_refuses_a_path_outside_the_root(self, corpus, monkeypatch):
         root, index = corpus
