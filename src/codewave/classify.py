@@ -210,8 +210,8 @@ def _model_buffer(file):
         raise ModelFormatError(f"{file}: truncated or corrupt model ({exc})") from exc
 
 
-def save_training_set(ts: TrainingSet, file) -> None:
-    """Serialize to the versioned little-endian container with magic CWTS."""
+def training_set_bytes(ts: TrainingSet) -> bytes:
+    """The versioned little-endian container with magic CWTS."""
     out = bytearray()
     out += MAGIC
     out += struct.pack("<HII", FORMAT_VERSION, ts.dimension, len(ts.classes))
@@ -222,7 +222,11 @@ def save_training_set(ts: TrainingSet, file) -> None:
         out += _pack_str(wc.id)
         out += struct.pack("<BI", 0 if model.kind == "mean" else 1, model.count)
         out += struct.pack(f"<{len(model.centroid)}d", *model.centroid)
-    Path(file).write_bytes(bytes(out))
+    return bytes(out)
+
+
+def save_training_set(ts: TrainingSet, file) -> None:
+    Path(file).write_bytes(training_set_bytes(ts))
 
 
 def load_training_set(file) -> TrainingSet:

@@ -31,7 +31,8 @@ from typing import Optional
 
 import numpy as np
 
-from . import engine
+from . import engine, nlp
+from .classify import TrainingSet, training_set_bytes
 from .engine import ModelType, PipelineConfig, ScanWarning
 from .errors import ProtocolError, TransportError
 from .index import TestCaseIndex, check_corpus_path
@@ -50,10 +51,10 @@ RECV_CHUNK = 64 * 1024
 
 
 def signature_for(case: str, path: str, option_string: str,
-                  content_digest: str) -> str:
-    """Cache key of one unit of work; changing the file content or the
-    configuration invalidates previously computed results."""
-    text = "\x00".join((case, path, option_string, content_digest))
+                  content_digest: str, model_digest: str = "") -> str:
+    """Cache key of one unit of work; changing the file content, the
+    configuration or the model invalidates previously computed results."""
+    text = "\x00".join((case, path, option_string, content_digest, model_digest))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
@@ -61,14 +62,23 @@ def content_digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def model_digest(model: ModelType) -> str:
+    """sha256 of the model file (CWTS or CWNM) `codewave train` writes."""
+    data = (training_set_bytes(model) if isinstance(model, TrainingSet)
+            else nlp.models_bytes(model, engine.trained_hash(model)))
+    return hashlib.sha256(data).hexdigest()
+
+
 def deposit_demand(store: "DemandStore | StoreClient", case: str, path: str,
                    data: bytes, cfg: PipelineConfig,
-                   content_kind: str = "source") -> tuple[str, str]:
+                   content_kind: str = "source",
+                   model_digest: str = "") -> tuple[str, str]:
     """Compute the signature for one file under one configuration and
-    deposit it, in a local or remote store; returns (signature, state).
-    Already-computed work comes back as such at once, never recomputed."""
+    model and deposit it, in a local or remote store; returns (signature,
+    state). Already-computed work comes back as such at once, never
+    recomputed."""
     signature = signature_for(case, path, cfg.option_string,
-                              content_digest(data))
+                              content_digest(data), model_digest)
     return signature, store.deposit(signature, path, content_kind)
 
 
@@ -184,8 +194,13 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
 
 
 def recv_message(sock: socket.socket) -> dict:
+    """One frame's JSON body; ValueError for a whole frame that is not
+    UTF-8 JSON, nesting too deep to decode included."""
     length = int.from_bytes(_recv_exact(sock, 4), "big")
-    return json.loads(_recv_exact(sock, length).decode("utf-8"))
+    try:
+        return json.loads(_recv_exact(sock, length).decode("utf-8"))
+    except RecursionError:
+        raise ValueError("frame body nests too deeply") from None
 
 
 # --- server ----------------------------------------------------------------------
@@ -222,8 +237,11 @@ class _StoreHandler(socketserver.BaseRequestHandler):
                 isinstance(signature, str) and signature):
             raise ProtocolError(f"{kind} needs a signature string")
         if kind == "DEPOSIT":
-            state = store.deposit(signature, payload.get("path", ""),
-                                  payload.get("content_kind", "source"))
+            path = payload.get("path", "")
+            content_kind = payload.get("content_kind", "source")
+            if not (isinstance(path, str) and isinstance(content_kind, str)):
+                raise ProtocolError("DEPOSIT path and content_kind must be strings")
+            state = store.deposit(signature, path, content_kind)
             return {"type": "ACK", "signature": signature,
                     "payload": {"state": state}}
         if kind == "PICKUP":
@@ -396,16 +414,20 @@ def run_generator(host: str, port: int, index: TestCaseIndex,
     The returned warnings are byte-for-byte the ones a local `test_case`
     call would produce for the same corpus, model, and configuration. A
     harvested row that is not one score per class raises ProtocolError, and
-    so does a worker's error result, as soon as it is harvested.
+    so does a worker's error result, as soon as it is harvested. The
+    signatures carry the model's digest, so rows cached for another model
+    are not reused (a worker running another model is not detected).
     """
     classes = engine._model_classes(model, cfg)
+    digest = model_digest(model)
     paths = [entry.path for entry in index.entries]
     signatures = []  # in index order
     with StoreClient(host, port) as client:
         for entry in index.entries:
             signature, _ = deposit_demand(
                 client, index.case_name, entry.path,
-                (Path(root) / entry.path).read_bytes(), cfg, entry.content_kind)
+                (Path(root) / entry.path).read_bytes(), cfg, entry.content_kind,
+                digest)
             signatures.append(signature)
         path_of = dict(zip(signatures, paths))
         harvested: dict[str, list] = {}

@@ -301,8 +301,9 @@ def rank_models(data: bytes, models: dict[WeaknessClass, NGramModel],
 
 # --- persistence (same container family as CWTS; see docs/model-format.md) ---
 
-def save_models(models: dict[WeaknessClass, NGramModel], file,
-                config_hash: str = "unconfigured") -> None:
+def models_bytes(models: dict[WeaknessClass, NGramModel],
+                 config_hash: str = "unconfigured") -> bytes:
+    """The versioned little-endian container with magic CWNM."""
     if not models:
         raise ConfigError("refusing to persist an empty model set")
     n_values = {m.n for m in models.values()}
@@ -328,7 +329,12 @@ def save_models(models: dict[WeaknessClass, NGramModel], file,
             out += int(contexts[lo]).to_bytes(n - 1, "big")  # exactly n-1 raw bytes
             out += struct.pack("<I", hi - lo)
             out += records[lo:hi].tobytes()
-    Path(file).write_bytes(bytes(out))
+    return bytes(out)
+
+
+def save_models(models: dict[WeaknessClass, NGramModel], file,
+                config_hash: str = "unconfigured") -> None:
+    Path(file).write_bytes(models_bytes(models, config_hash))
 
 
 def load_models(file) -> tuple[dict[WeaknessClass, NGramModel], str]:

@@ -9,8 +9,9 @@ import pytest
 
 from codewave import engine, report
 from codewave.cli import main
+from codewave.classify import load_training_set
 from codewave.dnet import (PENDING, DemandStoreServer, StoreClient, deposit_demand,
-                           run_worker)
+                           model_digest, run_worker)
 from codewave.engine import parse_option_tokens, train_case
 from codewave.index import IndexEntry, WeaknessClass, load_index, write_index
 from codewave.index import TestCaseIndex as CaseIndex
@@ -410,7 +411,8 @@ class TestServeWork:
             for entry in index.entries:
                 signature, _ = deposit_demand(
                     server.store, index.case_name, entry.path,
-                    (root / entry.path).read_bytes(), cfg)
+                    (root / entry.path).read_bytes(), cfg,
+                    model_digest=model_digest(load_training_set(model)))
                 server.store.pickup("w0")
                 server.store.deposit_result(signature, "w0", row)
             host, port = server.address

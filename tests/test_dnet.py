@@ -5,16 +5,22 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from codewave.dnet import (COMPUTED, PENDING, RECV_CHUNK, DemandStore,
+from codewave import dnet
+from codewave.dnet import (COMPUTED, IN_PROGRESS, PENDING, RECV_CHUNK, DemandStore,
                            DemandStoreServer, StoreClient, content_digest,
-                           deposit_demand, recv_message, run_generator,
-                           run_worker, send_message, signature_for)
-from codewave.engine import PipelineConfig, train_case
+                           deposit_demand, model_digest, recv_message,
+                           run_generator, run_worker, send_message,
+                           signature_for)
+from codewave.classify import save_training_set
+from codewave.engine import PipelineConfig, parse_option_tokens, train_case
 from codewave.engine import test_case as classify_case
 from codewave.errors import ConfigError, ProtocolError, TransportError
 from codewave.index import IndexEntry, WeaknessClass
 from codewave.index import TestCaseIndex as CaseIndex
+from codewave.nlp import save_models
 
 RESULT = [["cwe", "CWE-119", 0.125], ["cwe", "CWE-20", 0.5]]
 
@@ -117,6 +123,94 @@ class TestDemandStore:
         assert store.harvest([]) == {}
 
 
+SIGNATURES = ["s0", "s1", "s2", "s3"]
+WORKERS = st.sampled_from(["w0", "w1"])
+LEASE = 1.0
+STORE_OPERATIONS = st.lists(st.one_of(
+    st.tuples(st.just("deposit"), st.sampled_from(SIGNATURES)),
+    st.tuples(st.just("pickup"), WORKERS),
+    st.tuples(st.just("result"), st.sampled_from(SIGNATURES + ["ghost"]),
+              WORKERS, st.sampled_from([0.0, 1.0])),
+    st.tuples(st.just("harvest"),
+              st.lists(st.sampled_from(SIGNATURES + ["ghost"]), max_size=5)),
+    st.tuples(st.just("advance"), st.sampled_from([0.25, 0.5, 1.0, 1.5])),
+), max_size=40)
+
+
+class TestStoreLifecycle:
+    """Drawn sequences of store calls against the lifecycle the store
+    documents, with the lease clock driven by the test."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(STORE_OPERATIONS)
+    def test_drawn_operations_keep_the_documented_lifecycle(self, operations):
+        clock = [0.0]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dnet.time, "monotonic", lambda: clock[0])
+            store = DemandStore(lease_timeout=LEASE)
+            states, expiries, results, discarded = {}, {}, {}, []
+            deposited, ever_leased = [], set()
+            for operation, *args in operations:
+                if operation == "deposit":
+                    (s,) = args
+                    # a known signature's deposit returns its current state
+                    assert store.deposit(s, f"{s}.c") == states.get(s, PENDING)
+                    if s not in states:
+                        states[s] = PENDING
+                        deposited.append(s)
+                elif operation == "pickup":
+                    self._pickup(store, args[0], clock[0], states, expiries,
+                                 deposited, ever_leased)
+                elif operation == "result":
+                    s, worker, value = args
+                    if s not in states:
+                        with pytest.raises(ProtocolError):
+                            store.deposit_result(s, worker, [value])
+                        continue
+                    status = store.deposit_result(s, worker, [value])
+                    if s not in results:  # the first result wins
+                        assert status == "stored"
+                        results[s], states[s] = [value], COMPUTED
+                        expiries.pop(s, None)
+                    elif results[s] == [value]:
+                        assert status == "duplicate"
+                    else:
+                        assert status == "stale"
+                        discarded.append((s, worker))
+                    assert store.discarded == discarded
+                elif operation == "harvest":
+                    (asked,) = args
+                    assert store.harvest(asked) == {
+                        s: results[s] for s in asked if s in results}
+                else:
+                    clock[0] += args[0]
+                assert {s: store.state(s) for s in SIGNATURES} == {
+                    s: states.get(s) for s in SIGNATURES}
+
+    @staticmethod
+    def _pickup(store, worker, now, states, expiries, deposited, ever_leased):
+        expired = {s for s, expiry in expiries.items() if expiry <= now}
+        held = set(expiries) - expired  # under an unexpired lease
+        waiting = expired | {s for s, state in states.items() if state == PENDING}
+        leased = store.pickup(worker)
+        if not waiting:
+            assert leased is None
+            return
+        s, path, content_kind = leased
+        assert (path, content_kind) == (f"{s}.c", "source")
+        assert s not in held  # never two unexpired leases on one signature
+        assert states[s] != COMPUTED  # computed work is never leased again
+        if waiting & ever_leased:  # an expired lease goes before new work
+            assert s in ever_leased
+        else:  # and new work goes in deposit order
+            assert s == next(d for d in deposited if d in waiting)
+        for e in expired:
+            states[e] = PENDING
+            del expiries[e]
+        states[s], expiries[s] = IN_PROGRESS, now + LEASE
+        ever_leased.add(s)
+
+
 class TestWireProtocol:
     def test_client_server_roundtrip(self):
         with DemandStoreServer() as server:
@@ -145,6 +239,12 @@ class TestWireProtocol:
         b'{"type": "HARVEST", "payload": {"signatures": "s1"}}',
         b'{"type": "HARVEST", "payload": {"signatures": [["s1"]]}}',
         b'{"type": "SHUTDOWN", "payload": {}}',
+        b'{"type": "DEPOSIT", "signature": "s1", "payload": {"path": 5}}',
+        b'{"type": "DEPOSIT", "signature": "s1", "payload": {"path": ["a"]}}',
+        b'{"type": "DEPOSIT", "signature": "s1", "payload": {"path": {"x": 1}}}',
+        b'{"type": "DEPOSIT", "signature": "s1",'
+        b' "payload": {"path": "a.c", "content_kind": 7}}',
+        pytest.param(b"[" * 100000 + b"]" * 100000, id="nested-100000-deep"),
     ])
     def test_malformed_frame_gets_error_and_connection_lives(self, body):
         with DemandStoreServer() as server:
@@ -238,6 +338,49 @@ class TestDistributedEquivalence:
             second = run_generator(host, port, index.with_mode("test"), model,
                                    CFG, root, timeout=5)
         assert first == second
+
+    def test_a_retrained_model_is_not_served_the_old_models_rows(self, corpus):
+        root, index = corpus
+        model_a = train_case(index, CFG, root)
+        # the same files and flags, each file labelled with the next class
+        rotated = index.entries[4:] + index.entries[:4]
+        model_b = train_case(CaseIndex(index.case_name, index.case_version, [
+            dataclasses.replace(entry, classes=other.classes)
+            for entry, other in zip(index.entries, rotated)], mode="train"),
+            CFG, root)
+        test_index = index.with_mode("test")
+        expected = [classify_case(test_index, model, CFG, root)
+                    for model in (model_a, model_b)]
+        assert expected[0] != expected[1]
+        with DemandStoreServer() as server:
+            host, port = server.address
+            reports = []
+            for i, model in enumerate((model_a, model_b)):  # one store, both runs
+                worker = threading.Thread(
+                    target=run_worker,
+                    args=(host, port, model, CFG, root, f"w{i}"),
+                    kwargs={"idle_limit": 40, "poll_interval": 0.01},
+                    daemon=True)
+                worker.start()
+                reports.append(run_generator(host, port, test_index, model,
+                                             CFG, root, timeout=30))
+                worker.join(timeout=10)
+        assert reports == expected
+
+    def test_model_digest_is_the_digest_of_the_trained_model_file(
+            self, corpus, tmp_path):
+        root, index = corpus
+        nlp_cfg = parse_option_tokens(["-cweid", "-char", "-bigram", "-mle"])
+        signal_model, nlp_models = (train_case(index, cfg, root)
+                                    for cfg in (CFG, nlp_cfg))
+        # as `codewave train` saves them
+        save_training_set(signal_model, tmp_path / "model.cwts")
+        save_models(nlp_models, tmp_path / "model.cwnm",
+                    config_hash=nlp_cfg.config_hash)
+        for model, name in ((signal_model, "model.cwts"),
+                            (nlp_models, "model.cwnm")):
+            assert model_digest(model) == content_digest(
+                (tmp_path / name).read_bytes())
 
     def test_generator_never_asks_again_for_a_harvested_result(
             self, corpus, monkeypatch):
@@ -353,7 +496,7 @@ class TestRefusals:
         index = index.with_mode("test")
         model = train_case(index.with_mode("train"), CFG, root)
         with DemandStoreServer() as server:
-            deposit_rows(server, index, root, lambda _: row)
+            deposit_rows(server, index, model, root, lambda _: row)
             host, port = server.address
             with pytest.raises(ProtocolError):
                 run_generator(host, port, index, model, CFG, root, timeout=5)
@@ -366,7 +509,7 @@ class TestRefusals:
         index = index.with_mode("test")
         model = train_case(index.with_mode("train"), CFG, root)
         with DemandStoreServer() as server:
-            deposit_rows(server, index, root, lambda _: row)
+            deposit_rows(server, index, model, root, lambda _: row)
             host, port = server.address
             with pytest.raises(ProtocolError, match="score is"):
                 run_generator(host, port, index, model, CFG, root, timeout=5)
@@ -386,7 +529,7 @@ class TestRefusals:
         index = index.with_mode("test")
         model = train_case(index.with_mode("train"), CFG, root)
         with DemandStoreServer() as server:
-            deposit_rows(server, index, root,
+            deposit_rows(server, index, model, root,
                          lambda i: [float("inf"), float(i), 100.0])
             host, port = server.address
             warnings = run_generator(host, port, index, model, CFG, root,
@@ -394,11 +537,12 @@ class TestRefusals:
         assert [w.score for w in warnings] == [float(i) for i in range(12)]
 
 
-def deposit_rows(server, index, root, row_of):
+def deposit_rows(server, index, model, root, row_of):
     """Store a computed score row for each index entry, as a worker would."""
     for i, entry in enumerate(index.entries):
         signature, _ = deposit_demand(
             server.store, index.case_name, entry.path,
-            (root / entry.path).read_bytes(), CFG)
+            (root / entry.path).read_bytes(), CFG,
+            model_digest=model_digest(model))
         server.store.pickup("w0")
         server.store.deposit_result(signature, "w0", row_of(i))
