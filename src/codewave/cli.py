@@ -16,16 +16,15 @@ import argparse
 import math
 import os
 import sys
-import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import dnet, nlp, report
 from .classify import MAGIC as TRAINING_SET_MAGIC
-from .classify import TrainingSet, load_training_set, save_training_set
+from .classify import TrainingSet, load_training_set
 from .engine import (ModelType, PipelineConfig, default_grid, is_pipeline_flag,
-                     merge_sweep_stats, parse_option_tokens, score_stats,
-                     signal_rows, sweep, test_case, train_case, trained_hash)
+                     merge_sweep_stats, model_bytes, parse_option_tokens,
+                     score_stats, signal_rows, sweep, test_case, train_case, trained_hash)
 from .errors import CodewaveError, ConfigError, ModelFormatError, TransportError
 from .index import load_index
 
@@ -37,8 +36,11 @@ STORE_ENV = "CODEWAVE_STORE"
 
 
 def _atomic_write(path: Path, data: bytes) -> None:
+    """Replace `path` by one rename, so a reader sees the old file or the new
+    one; the kernel gives the new file a plain write's mode (umask on 0o666)."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
@@ -174,14 +176,9 @@ def _write_reports(warnings, cfg: PipelineConfig, index, out_dir: Path,
 def _cmd_train(ns, cfg: PipelineConfig) -> int:
     index = load_index(ns.index)
     model = train_case(index, cfg, ns.root, jobs=ns.jobs)
-    out = Path(ns.model)
-    if isinstance(model, TrainingSet):
-        save_training_set(model, out)
-        count = len(model.classes)
-    else:
-        nlp.save_models(model, out, config_hash=cfg.config_hash)
-        count = len(model)
-    print(f"trained {count} class models -> {out}")
+    _atomic_write(Path(ns.model), model_bytes(model))
+    count = len(model.classes) if isinstance(model, TrainingSet) else len(model)
+    print(f"trained {count} class models -> {Path(ns.model)}")
     return EXIT_OK
 
 

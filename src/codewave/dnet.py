@@ -31,8 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import engine, nlp
-from .classify import TrainingSet, training_set_bytes
+from . import engine
 from .engine import ModelType, PipelineConfig, ScanWarning
 from .errors import ProtocolError, TransportError
 from .index import TestCaseIndex, check_corpus_path
@@ -64,9 +63,7 @@ def content_digest(data: bytes) -> str:
 
 def model_digest(model: ModelType) -> str:
     """sha256 of the model file (CWTS or CWNM) `codewave train` writes."""
-    data = (training_set_bytes(model) if isinstance(model, TrainingSet)
-            else nlp.models_bytes(model, engine.trained_hash(model)))
-    return hashlib.sha256(data).hexdigest()
+    return hashlib.sha256(engine.model_bytes(model)).hexdigest()
 
 
 def deposit_demand(store: "DemandStore | StoreClient", case: str, path: str,
@@ -267,39 +264,36 @@ class _StoreHandler(socketserver.BaseRequestHandler):
         raise ProtocolError(f"unknown message type {kind!r}")
 
 
-class DemandStoreServer:
-    """Threaded TCP front end for one DemandStore."""
+class DemandStoreServer(socketserver.ThreadingTCPServer):
+    """Threaded TCP front end for one DemandStore: `serve_forever` in the
+    foreground, or `start`/`stop` (or a with block) on a daemon thread."""
+
+    allow_reuse_address = True
+    daemon_threads = True
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
                  lease_timeout: float = DEFAULT_LEASE):
+        super().__init__((host, port), _StoreHandler)
         self.store = DemandStore(lease_timeout=lease_timeout)
-
-        class _Server(socketserver.ThreadingTCPServer):
-            allow_reuse_address = True
-            daemon_threads = True
-
-        self._server = _Server((host, port), _StoreHandler)
-        self._server.store = self.store  # type: ignore[attr-defined]
         self._thread: Optional[threading.Thread] = None
 
     @property
     def address(self) -> tuple[str, int]:
-        return self._server.server_address[:2]
+        return self.server_address[:2]
 
     def start(self) -> "DemandStoreServer":
-        self._thread = threading.Thread(target=self._server.serve_forever,
+        # shutdown() waits for the loop's next poll, so the default 0.5 s
+        # interval would make every stop take that long
+        self._thread = threading.Thread(target=self.serve_forever, args=(0.02,),
                                         name="demand-store", daemon=True)
         self._thread.start()
         return self
 
     def stop(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
-        if self._thread is not None:
+        if self._thread is not None:  # with no loop, shutdown() waits forever
+            self.shutdown()
             self._thread.join(timeout=5)
-
-    def serve_forever(self) -> None:
-        self._server.serve_forever()
+        self.server_close()
 
     def __enter__(self) -> "DemandStoreServer":
         return self.start()
@@ -409,7 +403,8 @@ def run_generator(host: str, port: int, index: TestCaseIndex,
                   poll_interval: float = 0.05,
                   timeout: float = 300.0) -> list[ScanWarning]:
     """Deposit one demand per index entry, wait for all score rows, and
-    threshold them with the function a monolithic test run ends with.
+    threshold them with the function a monolithic test run ends with;
+    `timeout` seconds without a new result raise TransportError.
 
     The returned warnings are byte-for-byte the ones a local `test_case`
     call would produce for the same corpus, model, and configuration. A
@@ -433,13 +428,15 @@ def run_generator(host: str, port: int, index: TestCaseIndex,
         harvested: dict[str, list] = {}
         deadline = time.monotonic() + timeout
         while True:
-            missing = [s for s in path_of if s not in harvested]
-            for s, result in client.harvest(missing).items():
+            computed = client.harvest([s for s in path_of if s not in harvested])
+            for s, result in computed.items():
                 if isinstance(result, dict) and "error" in result:
                     raise ProtocolError(f"worker error on {path_of[s]}: {result['error']}")
                 harvested[s] = result
             if len(harvested) >= len(path_of):
                 break
+            if computed:  # the timeout counts time without a new result
+                deadline = time.monotonic() + timeout
             if time.monotonic() > deadline:
                 raise TransportError(
                     f"distributed run timed out with "

@@ -22,7 +22,7 @@ from typing import Iterable, Optional, Union
 import numpy as np
 
 from . import nlp
-from .classify import METRICS, TrainingSet, by_id, centroid_distances
+from .classify import METRICS, TrainingSet, by_id, centroid_distances, training_set_bytes
 from .classify import train as train_clusters
 from .errors import ConfigError
 # classify_vector, extract_* and preprocess are the one-file forms of the
@@ -611,6 +611,12 @@ def trained_hash(model: ModelType) -> Optional[str]:
         return None
     return PipelineConfig(pipeline="nlp", class_kind=kinds.pop(),
                           nlp_n=sizes.pop()).config_hash
+
+
+def model_bytes(model: ModelType) -> bytes:
+    """The model file (CWTS or CWNM) `codewave train` writes."""
+    return (training_set_bytes(model) if isinstance(model, TrainingSet)
+            else nlp.models_bytes(model, trained_hash(model)))
 
 
 def _model_classes(model: ModelType, cfg: PipelineConfig) -> list[WeaknessClass]:

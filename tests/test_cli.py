@@ -1,5 +1,6 @@
 import hashlib
 import os
+import stat
 import subprocess
 import sys
 import threading
@@ -59,6 +60,30 @@ class TestTrainTest:
         tables = list(out.glob("report-*.txt"))
         assert len(tables) == 1
         assert "100.00" in tables[0].read_text()
+
+    def test_outputs_have_umask_modes_and_a_retrain_replaces_the_model(
+            self, corpus):
+        root, train_xml, test_xml, base = corpus
+        model, out = base / "model.cwts", base / "out"
+        train = ["train", "--index", train_xml, "--root", root, "--model", model]
+        umask = os.umask(0o022)
+        try:
+            assert run_cli([*train, *CFG_FLAGS]) == 0
+            old = model.read_bytes()
+            with model.open("rb") as reader:  # opened before the retrain
+                assert run_cli([*train, *CFG_FLAGS, "-median"]) == 0
+                assert model.read_bytes() != old
+                assert reader.read() == old
+            assert run_cli(["test", "--index", test_xml, "--root", root,
+                            "--model", model, "--out", out, *CFG_FLAGS,
+                            "-median"]) == 0
+        finally:
+            os.umask(umask)
+        written = [model, *out.iterdir()]
+        assert sorted(p.suffix for p in written) == [".cwts", ".txt", ".xml"]
+        assert {p.name: stat.S_IMODE(p.stat().st_mode) for p in written} == {
+            p.name: 0o644 for p in written}
+        assert [p.name for p in base.iterdir() if p.suffix == ".tmp"] == []
 
     def test_mismatched_config_exits_1(self, corpus):
         root, train_xml, test_xml, base = corpus

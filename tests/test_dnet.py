@@ -1,11 +1,14 @@
 import dataclasses
+import itertools
+import json
 import socket
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from codewave import dnet
@@ -21,6 +24,9 @@ from codewave.errors import ConfigError, ProtocolError, TransportError
 from codewave.index import IndexEntry, WeaknessClass
 from codewave.index import TestCaseIndex as CaseIndex
 from codewave.nlp import save_models
+from codewave.preprocess import ShortSignalWarning
+
+from .test_engine import valid_configs
 
 RESULT = [["cwe", "CWE-119", 0.125], ["cwe", "CWE-20", 0.5]]
 
@@ -211,6 +217,39 @@ class TestStoreLifecycle:
         ever_leased.add(s)
 
 
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.floats(allow_nan=False),  # Infinity is JSON to this codec, NaN != NaN
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12)
+JSON_OBJECTS = st.dictionaries(st.text(), JSON_VALUES, max_size=4)
+
+
+def frame(message) -> bytes:
+    body = json.dumps(message, separators=(",", ":")).encode("utf-8")
+    return len(body).to_bytes(4, "big") + body
+
+
+def padded(size: int) -> dict:
+    """An object whose frame body is exactly `size` bytes."""
+    return {"pad": "x" * (size - len('{"pad":""}'))}
+
+
+class TestServerLifecycle:
+    def test_a_started_server_stops_within_a_short_poll(self):
+        started = time.monotonic()
+        with DemandStoreServer():
+            pass
+        assert time.monotonic() - started < 0.2
+
+    def test_stop_of_a_server_never_started_returns(self):
+        stopper = threading.Thread(target=DemandStoreServer().stop, daemon=True)
+        stopper.start()
+        stopper.join(timeout=5)
+        assert not stopper.is_alive()
+
+
 class TestWireProtocol:
     def test_client_server_roundtrip(self):
         with DemandStoreServer() as server:
@@ -272,6 +311,32 @@ class TestWireProtocol:
         with pytest.raises(ConnectionError):
             recv_message(feed)
         assert feed.asked and max(feed.asked) <= RECV_CHUNK
+
+    @settings(deadline=None, max_examples=50)
+    @given(messages=st.lists(JSON_OBJECTS, min_size=1, max_size=4),
+           chunks=st.lists(st.integers(1, 2 * RECV_CHUNK), min_size=1, max_size=4))
+    @example(messages=[padded(RECV_CHUNK - 1), padded(RECV_CHUNK)], chunks=[4093])
+    @example(messages=[padded(RECV_CHUNK + 1), {"type": "ACK"}], chunks=[RECV_CHUNK])
+    @example(messages=[padded(RECV_CHUNK)], chunks=[RECV_CHUNK + 4])
+    def test_frames_sent_in_any_chunks_read_back_equal(self, messages, chunks):
+        data = b"".join(frame(message) for message in messages)
+
+        def send():
+            offsets = itertools.accumulate(itertools.cycle(chunks), initial=0)
+            for lo, hi in itertools.pairwise(offsets):
+                if lo >= len(data):
+                    return
+                sender.sendall(data[lo:hi])
+
+        sender, receiver = socket.socketpair()
+        with sender, receiver:
+            for sock in (sender, receiver):
+                sock.settimeout(5)  # a reader that reads past its frame hangs
+            thread = threading.Thread(target=send, daemon=True)
+            thread.start()
+            assert [recv_message(receiver) for _ in messages] == messages
+            thread.join(timeout=5)
+            assert not thread.is_alive()
 
     def test_unreachable_store_is_transport_error(self):
         with pytest.raises(TransportError):
@@ -409,6 +474,62 @@ class TestDistributedEquivalence:
             assert not seen & set(asked)
             seen |= returned
         assert len(seen) == len(index.entries)
+
+    def test_timeout_counts_time_without_a_new_result(self, corpus, monkeypatch):
+        root, index = corpus
+        index = index.with_mode("test")
+        model = train_case(index.with_mode("train"), CFG, root)
+        monolithic = classify_case(index, model, CFG, root)
+        scores = dnet.engine._scores
+
+        def slow_scores(*args):
+            time.sleep(0.1)
+            return scores(*args)
+        monkeypatch.setattr(dnet.engine, "_scores", slow_scores)
+        with DemandStoreServer() as server:
+            host, port = server.address
+            worker = threading.Thread(
+                target=run_worker, args=(host, port, model, CFG, root, "w0"),
+                kwargs={"idle_limit": 40, "poll_interval": 0.01}, daemon=True)
+            worker.start()
+            started = time.monotonic()
+            # 12 files at 0.1 s each: the whole run outlasts the timeout
+            distributed = run_generator(host, port, index, model, CFG, root,
+                                        timeout=0.5)
+            assert time.monotonic() - started > 0.5
+            worker.join(timeout=10)
+        assert distributed == monolithic
+
+
+# the corpus fixture is only read, so every drawn config may share it
+@settings(deadline=None, max_examples=30,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cfg=valid_configs())
+def test_every_drawn_config_runs_the_same_distributed(corpus, cfg):
+    root, index = corpus
+    cfg = dataclasses.replace(cfg, class_kind="cwe")  # the corpus's classes
+    test_index = index.with_mode("test")
+    with warnings.catch_warnings():
+        # too many wavelet levels for a 512-byte file leave it as it is
+        warnings.simplefilter("ignore", ShortSignalWarning)
+        model = train_case(index, cfg, root)
+        local = classify_case(test_index, model, cfg, root)
+        with DemandStoreServer() as server:
+            host, port = server.address
+            digest = model_digest(model)
+            for entry in test_index.entries:  # so the worker finds work at once
+                deposit_demand(server.store, index.case_name, entry.path,
+                               (root / entry.path).read_bytes(), cfg,
+                               model_digest=digest)
+            worker = threading.Thread(
+                target=run_worker, args=(host, port, model, cfg, root, "w0"),
+                kwargs={"idle_limit": 1}, daemon=True)
+            worker.start()
+            distributed = run_generator(host, port, test_index, model, cfg,
+                                        root, poll_interval=0.01, timeout=30)
+            worker.join(timeout=10)
+            assert not worker.is_alive()
+    assert list(map(repr, distributed)) == list(map(repr, local))
 
 
 class TestRefusals:
