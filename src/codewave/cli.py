@@ -22,8 +22,8 @@ from pathlib import Path
 from . import dnet, nlp, report
 from .classify import MAGIC as TRAINING_SET_MAGIC
 from .classify import TrainingSet, load_training_set
-from .engine import (ModelType, PipelineConfig, default_grid, is_pipeline_flag,
-                     merge_sweep_stats, model_bytes, parse_option_tokens,
+from .engine import (ModelType, PipelineConfig, RunStats, default_grid,
+                     is_pipeline_flag, merge_sweep_stats, model_bytes, parse_option_tokens,
                      score_stats, signal_rows, sweep, test_case, train_case, trained_hash)
 from .errors import CodewaveError, ConfigError, ModelFormatError, TransportError
 from .index import load_index
@@ -173,6 +173,16 @@ def _write_reports(warnings, cfg: PipelineConfig, index, out_dir: Path,
     return written
 
 
+def _print_stats(first: RunStats, second: RunStats, by_class: bool = False) -> str:
+    """Print the precision table of both guesses, and their diagnostics on
+    stderr; return the table."""
+    table = report.export_stats_table([first, second], by_class=by_class)
+    sys.stdout.write(table)
+    for diag in first.diagnostics:
+        print(f"diagnostic: {diag}", file=sys.stderr)
+    return table
+
+
 def _cmd_train(ns, cfg: PipelineConfig) -> int:
     index = load_index(ns.index)
     model = train_case(index, cfg, ns.root, jobs=ns.jobs)
@@ -194,16 +204,12 @@ def _cmd_test(ns, cfg: PipelineConfig) -> int:
                              Path(ns.root))
     truth_classes = {wc for wc in index.all_classes() if wc.kind == cfg.class_kind}
     if truth_classes:
-        first, second = score_stats(warnings, index, cfg)
-        table = report.export_stats_table([first, second])
+        table = _print_stats(*score_stats(warnings, index, cfg))
         meta = report.CaseMeta(index.case_name, index.case_version,
                                cfg.option_string)
         table_path = Path(ns.out) / report.report_filename(meta, "txt")
         _atomic_write(table_path, table.encode("utf-8"))
         written.append(table_path)
-        sys.stdout.write(table)
-        for diag in first.diagnostics:
-            print(f"diagnostic: {diag}", file=sys.stderr)
     print(f"{len(warnings)} warning(s); wrote {', '.join(map(str, written))}")
     return EXIT_OK
 
@@ -213,8 +219,7 @@ def _cmd_sweep(ns, cfg: PipelineConfig) -> int:
     test_index = load_index(ns.test_index)
     entries = sweep(train_index, test_index, default_grid(cfg.class_kind),
                     ns.root, jobs=ns.jobs)
-    first, second = merge_sweep_stats(entries)
-    sys.stdout.write(report.export_stats_table([first, second]))
+    _print_stats(*merge_sweep_stats(entries))
     for entry in entries:
         print(f"timing: {entry.option_string}: {entry.elapsed:.3f}s"
               + (f" FAILED: {entry.error}" if entry.error else ""),
@@ -249,11 +254,7 @@ def _cmd_report(ns, _cfg: PipelineConfig) -> int:
     index = load_index(ns.index)
     cfg = parse_option_tokens(meta.config.split()) if meta.config \
         else PipelineConfig()
-    first, second = score_stats(warnings, index, cfg)
-    sys.stdout.write(report.export_stats_table([first, second],
-                                               by_class=ns.by_class))
-    for diag in first.diagnostics:
-        print(f"diagnostic: {diag}", file=sys.stderr)
+    _print_stats(*score_stats(warnings, index, cfg), by_class=ns.by_class)
     return EXIT_OK
 
 

@@ -13,6 +13,7 @@ import math
 import os
 import pickle
 import time
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from decimal import ROUND_HALF_UP, Decimal
 from functools import cached_property
@@ -364,10 +365,10 @@ class StatsRow:
 
 
 @dataclass
-class RunStats:
+class RunStats:  # rows come unranked; the stats table ranks them
     guess: str  # first | second
-    per_config: list[StatsRow] = field(default_factory=list)
-    per_class: list[StatsRow] = field(default_factory=list)
+    per_config: list[StatsRow] = field(default_factory=list)  # in run order
+    per_class: list[StatsRow] = field(default_factory=list)  # in class-id order
     diagnostics: list[str] = field(default_factory=list)
 
 
@@ -378,77 +379,54 @@ def check_recall(rows: Iterable[StatsRow], expected_total: int) -> list[str]:
     missing between classification and scoring (the kind of bookkeeping bug
     that shows up as a 2+0-out-of-9 row in a results table).
     """
-    problems = []
-    for row in rows:
-        if row.good + row.bad < expected_total:
-            problems.append(
-                f"recall shortfall for {row.key!r}: good+bad = "
-                f"{row.good + row.bad} < {expected_total} evaluated files")
-    return problems
+    return [f"recall shortfall for {row.key!r}: good+bad = "
+            f"{row.good + row.bad} < {expected_total} evaluated files"
+            for row in rows if row.good + row.bad < expected_total]
+
+
+def _tally(guess: str, key: str, counts: Counter, class_ids: set[str],
+           notes: list[str], expected_total: Optional[int]) -> RunStats:
+    """The RunStats of counted (credited class id, good) pairs: rows for `key` and each
+    class id credited or in `class_ids`; `notes`, then any recall shortfall."""
+    per_class = [StatsRow(cid, counts[cid, True], counts[cid, False])
+                 for cid in sorted(class_ids.union(cid for cid, _ in counts))]
+    row = StatsRow(key, sum(r.good for r in per_class), sum(r.bad for r in per_class))
+    recall = [] if expected_total is None else check_recall([row], expected_total)
+    return RunStats(guess, [row], per_class, notes + recall)
 
 
 def score_stats(warnings: list[ScanWarning], truth: TestCaseIndex,
                 cfg: PipelineConfig) -> tuple[RunStats, RunStats]:
     """Tally first-guess and second-guess precision against ground truth.
 
-    A first guess is good when the top class is among the file's true
-    classes; the second-guess tally also accepts the runner-up, and a
-    correct first guess counts in both. Per-class rows credit or debit the
-    predicted class; classes never predicted keep an all-zero row (that is
-    how a class that fell out of training shows up as 0.00).
+    A warning on a path with true classes of the run's kind credits one
+    class per guess: its top class, good if true, except that the second
+    guess credits a true runner-up in place of a wrong top class. Every true
+    class has a row, all zero if never credited (so a class that fell out of
+    training shows up as 0.00). Warnings on other paths count in a
+    diagnostic; a run without a threshold must warn on every class-bearing path.
     """
-    truth_map: dict[str, set[WeaknessClass]] = {}
-    for entry in truth.entries:
-        wanted = {wc for wc in entry.class_set() if wc.kind == cfg.class_kind}
-        if wanted:
-            truth_map[entry.path] = wanted
-    expected_total = len(truth_map)
-
-    first = RunStats("first")
-    second = RunStats("second")
-    class_rows_first: dict[str, StatsRow] = {}
-    class_rows_second: dict[str, StatsRow] = {}
-    for wc in sorted({w for s in truth_map.values() for w in s},
-                     key=lambda w: w.id):
-        class_rows_first[wc.id] = StatsRow(wc.id)
-        class_rows_second[wc.id] = StatsRow(wc.id)
-
-    def tally(config_row: StatsRow, rows: dict[str, StatsRow],
-              wc: WeaknessClass, good: bool) -> None:
-        for counted in (config_row, rows.setdefault(wc.id, StatsRow(wc.id))):
-            if good:
-                counted.good += 1
-            else:
-                counted.bad += 1
-
-    config_first = StatsRow(cfg.option_string)
-    config_second = StatsRow(cfg.option_string)
-    excluded = 0
+    truth_map = {entry.path: {wc.id for wc, _ in entry.classes if wc.kind == cfg.class_kind}
+                 for entry in truth.entries}
+    # (credited class id, good) -> warnings, counted as they come: a pair kept per
+    # warning is a tuple per warning, which in a process holding a whole scan's
+    # objects sets off full garbage collections (twice this function's own time)
+    first, second = Counter(), Counter()
     for warning in warnings:
-        true_classes = truth_map.get(warning.path)
-        if true_classes is None:
-            excluded += 1
-            continue
-        top_hit = warning.weakness in true_classes
-        tally(config_first, class_rows_first, warning.weakness, top_hit)
-        if not top_hit and warning.second_guess in true_classes:
-            tally(config_second, class_rows_second, warning.second_guess, True)
-        else:
-            tally(config_second, class_rows_second, warning.weakness, top_hit)
-
-    for stats, config_row, class_rows in (
-        (first, config_first, class_rows_first),
-        (second, config_second, class_rows_second),
-    ):
-        stats.per_config.append(config_row)
-        stats.per_class.extend(
-            sorted(class_rows.values(),
-                   key=lambda r: (-r.pct, r.key)))
-        if excluded:
-            stats.diagnostics.append(
-                f"{excluded} warning(s) excluded: path missing from ground truth")
-        stats.diagnostics.extend(check_recall([config_row], expected_total))
-    return first, second
+        wanted = truth_map.get(warning.path)
+        if wanted:
+            top, runner_up = warning.weakness.id, warning.second_guess
+            hit = top in wanted
+            first[top, hit] += 1
+            runner_up_hit = not hit and runner_up is not None and runner_up.id in wanted
+            second[(runner_up.id, True) if runner_up_hit else (top, hit)] += 1
+    excluded = len(warnings) - sum(first.values())
+    notes = ([f"{excluded} warning(s) excluded: path missing from ground truth"]
+             if excluded else [])
+    expected_total = sum(map(bool, truth_map.values())) if math.isinf(cfg.threshold) else None
+    class_ids = set().union(*truth_map.values())
+    return tuple(_tally(guess, cfg.option_string, counts, class_ids, notes, expected_total)
+                 for guess, counts in (("first", first), ("second", second)))
 
 
 # --- the batch path: files in, feature or score matrices out -------------------
@@ -763,9 +741,7 @@ class SweepEntry:
 
     @property
     def first_pct(self) -> Decimal:
-        if self.first is None or not self.first.per_config:
-            return Decimal("-1")
-        return self.first.per_config[0].pct
+        return self.first.per_config[0].pct if self.first else Decimal("-1")
 
 
 def _group_pass(train_index: TestCaseIndex, test_index: TestCaseIndex,
@@ -864,15 +840,15 @@ def default_grid(class_kind: str = "cve") -> list[PipelineConfig]:
 
 
 def merge_sweep_stats(entries: list[SweepEntry]) -> tuple[RunStats, RunStats]:
-    """Collapse sweep entries into two table-ready stats blocks."""
+    """Collapse sweep entries into two stats blocks: the per-config rows of
+    the entries that ran, in entry order, and each distinct diagnostic of
+    theirs once. A failed entry adds nothing; its error is its own."""
     merged = (RunStats("first"), RunStats("second"))
     for entry in entries:
-        for stats, part in zip(merged, (entry.first, entry.second)):
-            if entry.error is not None:
-                stats.diagnostics.append(f"{entry.option_string}: {entry.error}")
-            else:
+        if entry.error is None:
+            for stats, part in zip(merged, (entry.first, entry.second)):
                 stats.per_config.extend(part.per_config)
                 stats.diagnostics.extend(part.diagnostics)
     for stats in merged:
-        stats.per_config.sort(key=lambda r: (-r.pct, r.key))
+        stats.diagnostics = list(dict.fromkeys(stats.diagnostics))
     return merged

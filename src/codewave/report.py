@@ -9,7 +9,6 @@ of reports stay meaningful.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 from xml.etree import ElementTree
@@ -112,18 +111,17 @@ def parse_sate_xml(text: str) -> tuple[list[ScanWarning], CaseMeta]:
         seconds = [el for el in w_el if el.tag == "second"]
         if len(classes) != 1 or len(seconds) > 1:
             raise IndexFormatError("warning must have one class element")
-        second = None
-        if seconds:
-            second = WeaknessClass(seconds[0].get("kind", ""),
-                                   seconds[0].get("id", ""))
-        warnings.append(ScanWarning(
-            path=w_el.get("path", ""),
-            weakness=WeaknessClass(classes[0].get("kind", ""),
-                                   classes[0].get("id", "")),
-            score=float(w_el.get("score", "nan")),
-            rank=int(w_el.get("rank", "1")),
-            second_guess=second,
-        ))
+        path = w_el.get("path", "")
+        try:
+            guesses = [WeaknessClass(el.get("kind", ""), el.get("id", ""))
+                       for el in classes + seconds]
+            warnings.append(ScanWarning(
+                path=path, weakness=guesses[0],
+                score=float(w_el.get("score", "nan")),
+                rank=int(w_el.get("rank", "1")),
+                second_guess=guesses[1] if seconds else None))
+        except ValueError as exc:
+            raise IndexFormatError(f"warning {path!r}: {exc}") from None
     return warnings, meta
 
 
@@ -131,15 +129,14 @@ def validate_sate_xml(text: str) -> None:
     """Enforce the report schema; raises IndexFormatError on any violation.
 
     The schema is small enough to check structurally: parse_sate_xml already
-    rejects unknown elements, missing attributes come back as empty values
-    that trip the WeaknessClass and score validation below.
+    rejects unknown elements and, naming the warning's path, bad classes,
+    scores and ranks (a missing class attribute reads as empty and a missing
+    score as NaN, both rejected); what is left is a warning without a path.
     """
     warnings, _ = parse_sate_xml(text)
     for w in warnings:
         if not w.path:
             raise IndexFormatError("warning without a path")
-        if not math.isfinite(w.score):
-            raise IndexFormatError(f"warning {w.path!r} has non-finite score")
 
 
 # --- evidential text (dialect documented in docs/report-formats.md) -------------

@@ -256,3 +256,36 @@ def _old_levinson_durbin(r, order):
         err *= 1.0 - ref * ref
     a[:] = -poly[1:]
     return a
+
+
+def reference_stats(warnings, truth, class_kind, guess):
+    """(good, bad) per class id, one warning at a time: the class a warning
+    is credited with and whether it is good, by the rules of the precision
+    tables. Warnings on paths without a true class of `class_kind` are
+    skipped; every true class has an entry, even an all-zero one."""
+    true_of = {}
+    for entry in truth.entries:
+        classes = [wc for wc, _ in entry.classes if wc.kind == class_kind]
+        if classes:
+            true_of[entry.path] = classes
+    tally = {}
+    for classes in true_of.values():
+        for wc in classes:
+            tally[wc.id] = [0, 0]
+    for w in warnings:
+        if w.path not in true_of:
+            continue
+        classes = true_of[w.path]
+        if w.weakness in classes:
+            credited, good = w.weakness, True
+        elif guess == "second" and w.second_guess in classes:
+            credited, good = w.second_guess, True
+        else:
+            credited, good = w.weakness, False
+        if credited.id not in tally:
+            tally[credited.id] = [0, 0]
+        if good:
+            tally[credited.id][0] += 1
+        else:
+            tally[credited.id][1] += 1
+    return {cid: tuple(counts) for cid, counts in tally.items()}

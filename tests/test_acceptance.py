@@ -93,6 +93,26 @@ def test_criterion_02_fixed_version_empty_report(clean_corpus, tmp_path):
     assert warnings == []
 
 
+def test_criterion_02_thresholded_scan_reports_no_recall_shortfall(
+        clean_corpus, tmp_path, capsys):
+    """2. fixed-version behavior: the thresholded scan reports no recall shortfall"""
+    root, index = clean_corpus
+    model = train_case(index, CFG, root)
+    cut = calibrate_threshold(index, model, CFG, root)
+    fixed_root = tmp_path / "fixed"
+    index_xml = tmp_path / "fixed_test.xml"
+    write_index(random_content_copy(index.with_mode("test"), root, fixed_root), index_xml)
+    model_file = tmp_path / "model.cwts"
+    save_training_set(model, model_file)
+    capsys.readouterr()
+    assert cli_main([
+        "test", "--index", str(index_xml), "--root", str(fixed_root),
+        "--model", str(model_file), "--out", str(tmp_path / "reports"),
+        "-cweid", "-nopreprep", "-raw", "-fft", "-cheb", f"-threshold={cut:g}",
+    ]) == 0
+    assert "recall shortfall" not in capsys.readouterr().err
+
+
 def test_criterion_03_half_training_degradation(noisy_corpus):
     """3. half-training: precision(halved) <= precision(full); dropped classes 0%"""
     root, index = noisy_corpus
@@ -295,7 +315,8 @@ def test_criterion_10_distributed_equivalence(clean_corpus, tmp_path):
         distributed = dnet.run_generator(host, port, index, model, CFG, root,
                                          timeout=120)
     finally:
-        for w in workers:
+        for w in workers:  # the generator is done: stop them, not wait out --idle-exit
+            w.terminate()
             w.wait(timeout=60)
         serve_proc.kill()
         serve_proc.communicate(timeout=10)  # reaps it and closes its stdout
@@ -327,6 +348,7 @@ def test_criterion_10_distributed_equivalence(clean_corpus, tmp_path):
         assert "warnings" in harvested, "generator did not finish"
     finally:
         for w in survivors:
+            w.terminate()
             w.wait(timeout=60)
         serve_proc.kill()
         serve_proc.communicate(timeout=10)  # reaps it and closes its stdout

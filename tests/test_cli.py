@@ -359,6 +359,19 @@ class TestSweepCommand:
         pcts = [float(row[-1]) for row in data]
         assert pcts == sorted(pcts, reverse=True)
 
+    def test_sweep_prints_each_distinct_diagnostic_once(self, corpus, capsys):
+        root, _, test_xml, base = corpus
+        (root / "unlabeled.c").write_bytes(bytes(range(256)) * 2)
+        index = load_index(test_xml)
+        index.entries.append(IndexEntry("unlabeled.c"))
+        write_index(index, test_xml)  # a file whose warning no truth covers
+        assert run_cli(["sweep", "--train-index", base / "case_train.xml",
+                        "--test-index", test_xml, "--root", root, "--jobs", "1",
+                        "-cweid"]) == 0
+        err = capsys.readouterr().err
+        diagnostic = "diagnostic: 1 warning(s) excluded: path missing from ground truth"
+        assert err.count(diagnostic) == 1
+
 
 class TestServeWork:
     def test_store_roundtrip_via_subprocess(self, tmp_path):

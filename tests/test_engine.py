@@ -7,16 +7,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from codewave import engine
 from codewave.classify import METRICS, TrainingSet
-from codewave.engine import (PipelineConfig, ScanWarning, StatsRow,
-                             calibrate_threshold, check_recall,
-                             parse_option_string, parse_option_tokens,
-                             precision_pct, run_once, score_stats, sweep,
-                             train_case)
+from codewave.engine import (PipelineConfig, RunStats, ScanWarning, StatsRow,
+                             SweepEntry, calibrate_threshold, check_recall,
+                             merge_sweep_stats, parse_option_string,
+                             parse_option_tokens, precision_pct, run_once,
+                             score_stats, sweep, train_case)
 from codewave.engine import _fork_map
 from codewave.engine import test_case as classify_case
 from codewave.errors import ConfigError
@@ -24,6 +24,8 @@ from codewave.index import IndexEntry, WeaknessClass
 from codewave.index import TestCaseIndex as CaseIndex
 from codewave.nlp import SMOOTHINGS
 from codewave.preprocess import SCALING, ShortSignalWarning
+
+from .oracles import reference_stats
 
 CWE20 = WeaknessClass.cwe("CWE-20")
 CWE79 = WeaknessClass.cwe("CWE-79")
@@ -454,6 +456,63 @@ class TestScoreStats:
             assert sum(r.good for r in stats.per_class) == stats.per_config[0].good
             assert sum(r.bad for r in stats.per_class) == stats.per_config[0].bad
 
+    def test_thresholded_run_is_not_held_to_recall(self):
+        warnings = [warning("a.c", CWE20), warning("ghost.c", CWE20)]
+        thresholded = PipelineConfig(class_kind="cwe", threshold=0.5)
+        for stats in score_stats(warnings, self.truth(), thresholded):
+            assert not any("recall" in d for d in stats.diagnostics)
+            assert any("excluded" in d for d in stats.diagnostics)
+
+
+STATS_PATHS = ["a.c", "b.c", "c.c"]
+STATS_CLASSES = [CWE20, CWE79, CWE119, WeaknessClass.cwe("CWE-787"),
+                 WeaknessClass.cve("CVE-2009-2562"), WeaknessClass.cve("CVE-2010-0001")]
+
+
+@st.composite
+def stats_cases(draw):
+    """A truth index over STATS_PATHS, warnings that also name a path missing
+    from it, and a config of either class kind, with or without a threshold.
+    Classes come from both kinds, and some never appear in the truth."""
+    classes = st.sampled_from(STATS_CLASSES)
+    truth = CaseIndex("t", "1", [
+        IndexEntry(path, [(wc, []) for wc in draw(st.lists(classes, unique=True,
+                                                           max_size=3))])
+        for path in STATS_PATHS])
+    warnings = draw(st.lists(st.builds(
+        warning, st.sampled_from(STATS_PATHS + ["ghost.c"]), classes,
+        second=st.none() | classes), max_size=12))
+    cfg = PipelineConfig(class_kind=draw(st.sampled_from(["cwe", "cve"])),
+                         threshold=draw(st.sampled_from([math.inf, 0.5])))
+    return warnings, truth, cfg
+
+
+@settings(deadline=None, max_examples=300)
+@given(stats_cases())
+@example((  # both guesses true: the second guess credits the top class
+    [warning("a.c", CWE20, second=CWE79)],
+    CaseIndex("t", "1", [IndexEntry("a.c", [(CWE20, []), (CWE79, [])])]),
+    PipelineConfig(class_kind="cwe")))
+def test_score_stats_matches_a_per_warning_tally(case):
+    warnings, truth, cfg = case
+    true_paths = {e.path for e in truth.entries
+                  if any(wc.kind == cfg.class_kind for wc, _ in e.classes)}
+    evaluated = sum(w.path in true_paths for w in warnings)
+    for stats, guess in zip(score_stats(warnings, truth, cfg), ("first", "second")):
+        reference = reference_stats(warnings, truth, cfg.class_kind, guess)
+        assert stats.guess == guess
+        assert [(r.key, r.good, r.bad) for r in stats.per_class] == \
+            sorted((key, good, bad) for key, (good, bad) in reference.items())
+        [row] = stats.per_config
+        assert (row.key, row.good, row.bad) == (
+            cfg.option_string, sum(r.good for r in stats.per_class),
+            sum(r.bad for r in stats.per_class))
+        assert row.good + row.bad == evaluated
+        assert any("excluded" in d for d in stats.diagnostics) == \
+            (evaluated < len(warnings))
+        assert any("recall" in d for d in stats.diagnostics) == \
+            (math.isinf(cfg.threshold) and evaluated < len(true_paths))
+
 
 class TestPrecisionFormatting:
     def test_paper_value(self):
@@ -825,6 +884,20 @@ class TestSweep:
         entries = sweep(index, index.with_mode("test"), [bad, good], root)
         assert entries[0].error is None
         assert entries[1].error is not None
+
+    def test_merged_stats_keep_entry_order_and_each_diagnostic_once(self):
+        def entry(option_string, good, error=None):
+            cfg = parse_option_string(option_string)
+            stats = [RunStats(guess, [StatsRow(option_string, good, 2 - good)],
+                              diagnostics=["1 warning(s) excluded: path missing"])
+                     for guess in ("first", "second")]
+            return SweepEntry(cfg, *(stats if error is None else (None, None)), 0.0, error)
+
+        merged = merge_sweep_stats([entry("-raw -fft -eucl", 1), entry("-raw -fft -cheb", 2),
+                                    entry("-raw -fft -cos", 0, error="boom")])
+        for stats in merged:
+            assert [r.key for r in stats.per_config] == ["-raw -fft -eucl", "-raw -fft -cheb"]
+            assert stats.diagnostics == ["1 warning(s) excluded: path missing"]
 
     def test_run_once_end_to_end(self, tiny_corpus):
         root, index = tiny_corpus

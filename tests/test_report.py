@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codewave.engine import RunStats, ScanWarning, StatsRow
 from codewave.errors import IndexFormatError
@@ -16,6 +18,10 @@ from .oracles import naive_dft
 CVE = WeaknessClass.cve("CVE-2009-2562")
 CWE = WeaknessClass.cwe("CWE-119")
 META = CaseMeta("wireshark", "1.2.0", "-nopreprep -low -fft -cheb")
+# text XML 1.0 can carry, with the characters an attribute must escape
+XML_TEXT = st.text(st.characters(exclude_categories=("Cc", "Cs", "Cn"))
+                   | st.sampled_from("\t\n\r&<>\"'"), max_size=10)
+REPORT_CLASSES = st.sampled_from([CVE, CWE, WeaknessClass.cwe("NVD-CWE-Other")])
 
 
 def warning(path="epan/packet-afs.c", wc=CVE, score=0.0425, second=CWE):
@@ -70,6 +76,34 @@ class TestSateXml:
             validate_sate_xml("<report><oops/></report>")
         with pytest.raises(IndexFormatError):
             validate_sate_xml("not xml at all")
+
+    @pytest.mark.parametrize("attributes", [
+        'score="inf"', 'score="nan"', 'score="abc"', 'score="1" rank="0"',
+        'score="1" rank="x"'])
+    def test_bad_score_or_rank_names_the_path(self, attributes):
+        doc = (f'<report><warning path="src/a.c" {attributes}>'
+               '<class kind="cwe" id="CWE-20"/></warning></report>')
+        for read in (parse_sate_xml, validate_sate_xml):
+            with pytest.raises(IndexFormatError, match="'src/a.c'"):
+                read(doc)
+
+    def test_bad_class_names_the_path(self):
+        doc = ('<report><warning path="src/a.c" score="1">'
+               '<class kind="cwe" id="CWE-20"/><second kind="cwe" id="oops"/>'
+               '</warning></report>')
+        with pytest.raises(IndexFormatError, match="'src/a.c'.*oops"):
+            parse_sate_xml(doc)
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(st.builds(ScanWarning, path=XML_TEXT.filter(bool),
+                              weakness=REPORT_CLASSES,
+                              score=st.floats(allow_nan=False, allow_infinity=False),
+                              rank=st.integers(1, 3),
+                              second_guess=st.none() | REPORT_CLASSES), max_size=6),
+           st.builds(CaseMeta, XML_TEXT, XML_TEXT, XML_TEXT))
+    def test_export_of_a_parsed_report_is_the_same_bytes(self, warnings, meta):
+        doc = export_sate_xml(warnings, meta)
+        assert export_sate_xml(*parse_sate_xml(doc)) == doc
 
     def test_filename_matches_compressed_config(self):
         meta = CaseMeta("wireshark", "1.2.0",
