@@ -249,7 +249,6 @@ def _cmd_work(ns, cfg: PipelineConfig) -> int:
 
 def _cmd_report(ns, _cfg: PipelineConfig) -> int:
     text = Path(ns.report_file).read_text(encoding="utf-8")
-    report.validate_sate_xml(text)
     warnings, meta = report.parse_sate_xml(text)
     index = load_index(ns.index)
     cfg = parse_option_tokens(meta.config.split()) if meta.config \

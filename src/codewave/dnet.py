@@ -421,7 +421,7 @@ def run_generator(host: str, port: int, index: TestCaseIndex,
         for entry in index.entries:
             signature, _ = deposit_demand(
                 client, index.case_name, entry.path,
-                (Path(root) / entry.path).read_bytes(), cfg, entry.content_kind,
+                (Path(root) / entry.path).read_bytes(), cfg, index.kind,
                 digest)
             signatures.append(signature)
         path_of = dict(zip(signatures, paths))

@@ -403,8 +403,10 @@ def score_stats(warnings: list[ScanWarning], truth: TestCaseIndex,
     class per guess: its top class, good if true, except that the second
     guess credits a true runner-up in place of a wrong top class. Every true
     class has a row, all zero if never credited (so a class that fell out of
-    training shows up as 0.00). Warnings on other paths count in a
-    diagnostic; a run without a threshold must warn on every class-bearing path.
+    training shows up as 0.00). Warnings on other paths count in one of two
+    diagnostics, as the path is absent from the index or present without a
+    class of the run's kind; a run without a threshold must warn on every
+    class-bearing path.
     """
     truth_map = {entry.path: {wc.id for wc, _ in entry.classes if wc.kind == cfg.class_kind}
                  for entry in truth.entries}
@@ -412,6 +414,7 @@ def score_stats(warnings: list[ScanWarning], truth: TestCaseIndex,
     # warning is a tuple per warning, which in a process holding a whole scan's
     # objects sets off full garbage collections (twice this function's own time)
     first, second = Counter(), Counter()
+    unlabeled = 0
     for warning in warnings:
         wanted = truth_map.get(warning.path)
         if wanted:
@@ -420,9 +423,12 @@ def score_stats(warnings: list[ScanWarning], truth: TestCaseIndex,
             first[top, hit] += 1
             runner_up_hit = not hit and runner_up is not None and runner_up.id in wanted
             second[(runner_up.id, True) if runner_up_hit else (top, hit)] += 1
-    excluded = len(warnings) - sum(first.values())
-    notes = ([f"{excluded} warning(s) excluded: path missing from ground truth"]
-             if excluded else [])
+        elif wanted is not None:
+            unlabeled += 1
+    missing = len(warnings) - sum(first.values()) - unlabeled
+    notes = [f"{n} warning(s) excluded: {why}" for n, why in (
+        (missing, "path missing from ground truth"),
+        (unlabeled, f"path has no {cfg.class_kind} class in ground truth")) if n]
     expected_total = sum(map(bool, truth_map.values())) if math.isinf(cfg.threshold) else None
     class_ids = set().union(*truth_map.values())
     return tuple(_tally(guess, cfg.option_string, counts, class_ids, notes, expected_total)

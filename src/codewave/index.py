@@ -68,6 +68,8 @@ class Annotation:
     def __post_init__(self):
         if any(n <= 0 for n in self.lines):
             raise ValueError("line numbers must be strictly positive")
+        if self.fragment is not None:
+            check_xml_text("fragment", self.fragment)
         if self.issue_kind is not None and self.issue_kind not in ISSUE_KINDS:
             raise ValueError(f"unknown issue kind {self.issue_kind!r}")
         if self.byte_offset is not None and self.byte_offset < 0:
@@ -75,10 +77,14 @@ class Annotation:
 
     def stripped(self) -> "Annotation":
         """Drop source-only detail (lines, fragment) for binary indexes."""
-        return Annotation(
-            lines=(), fragment=None,
-            issue_kind=self.issue_kind, byte_offset=self.byte_offset,
-        )
+        return replace(self, lines=(), fragment=None)
+
+
+def check_xml_text(what: str, text: str) -> None:
+    """Raise ValueError if `text` has a character XML 1.0 cannot carry: a C0
+    control other than tab, LF and CR, U+FFFE, U+FFFF or a lone surrogate."""
+    if NOT_XML_RE.search(text):
+        raise ValueError(f"{what} {text!r} has a character XML 1.0 cannot carry")
 
 
 def check_corpus_path(path: str) -> None:
@@ -87,8 +93,7 @@ def check_corpus_path(path: str) -> None:
     C0 control but tab, LF and CR; no lone surrogate from an undecodable name)."""
     if not path:
         raise ValueError("entry path must be non-empty")
-    if NOT_XML_RE.search(path):
-        raise ValueError(f"entry path {path!r} has a character XML 1.0 cannot carry")
+    check_xml_text("entry path", path)
     if path.startswith("/") or ".." in path.split("/"):
         raise ValueError(f"entry path {path!r} leaves the corpus root")
 
@@ -99,12 +104,9 @@ class IndexEntry:
 
     path: str
     classes: list[tuple[WeaknessClass, list[Annotation]]] = field(default_factory=list)
-    content_kind: str = "source"  # "source" | "binary"
 
     def __post_init__(self):
         check_corpus_path(self.path)
-        if self.content_kind not in ("source", "binary"):
-            raise ValueError(f"unknown content kind {self.content_kind!r}")
 
     def class_set(self) -> set[WeaknessClass]:
         return {wc for wc, _ in self.classes}
@@ -112,37 +114,43 @@ class IndexEntry:
 
 @dataclass
 class TestCaseIndex:
-    """An annotated file set for one test case (e.g. one project version)."""
+    """An annotated file set for one test case (e.g. one project version),
+    all of one kind: source files, or the binaries compiled from them."""
 
     case_name: str
     case_version: str
     entries: list[IndexEntry] = field(default_factory=list)
     mode: str = "test"  # "train" | "test"
+    kind: str = "source"  # "source" | "binary"
 
     def __post_init__(self):
         if self.mode not in ("train", "test"):
             raise ValueError(f"unknown index mode {self.mode!r}")
+        if self.kind not in ("source", "binary"):
+            raise ValueError(f"unknown index kind {self.kind!r}")
+        check_xml_text("case name", self.case_name)
+        check_xml_text("case version", self.case_version)
         self.validate()
 
     def validate(self) -> None:
+        """Raise IndexFormatError on a duplicate path, a class-less entry in
+        train mode, or line/fragment annotations in a binary index."""
+        train, binary = self.mode == "train", self.kind == "binary"
         seen = set()
         for entry in self.entries:
             if entry.path in seen:
                 raise IndexFormatError(f"duplicate entry path {entry.path!r}")
             seen.add(entry.path)
-        if len({e.content_kind for e in self.entries}) > 1:
-            raise IndexFormatError(
-                "index mixes source and binary entries; split them")
-        if self.mode == "train":
-            for entry in self.entries:
-                if not entry.classes:
-                    raise IndexFormatError(
-                        f"train-mode index entry {entry.path!r} carries no class"
-                    )
+            if train and not entry.classes:
+                raise IndexFormatError(
+                    f"train-mode index entry {entry.path!r} carries no class")
+            if binary and any(a.lines or a.fragment is not None
+                              for _, anns in entry.classes for a in anns):
+                raise IndexFormatError(f"entry {entry.path!r}: binary index"
+                                       " carries source annotations")
 
     def with_mode(self, mode: str) -> "TestCaseIndex":
-        return TestCaseIndex(self.case_name, self.case_version,
-                             [replace(e) for e in self.entries], mode)
+        return replace(self, entries=[replace(e) for e in self.entries], mode=mode)
 
     def all_classes(self) -> set[WeaknessClass]:
         out: set[WeaknessClass] = set()
@@ -194,7 +202,7 @@ def annotate_synthetic(index: TestCaseIndex, cwe_pattern: str) -> TestCaseIndex:
         if wc not in entry.class_set():
             classes.append((wc, []))
         entries.append(replace(entry, classes=classes))
-    return TestCaseIndex(index.case_name, index.case_version, entries, index.mode)
+    return replace(index, entries=entries)
 
 
 def derive_binary_index(index: TestCaseIndex,
@@ -215,12 +223,12 @@ def derive_binary_index(index: TestCaseIndex,
             continue
         new_path = entry.path[: -len(suffix)] + mapping[suffix]
         classes = [(wc, [a.stripped() for a in anns]) for wc, anns in entry.classes]
-        entries.append(IndexEntry(new_path, classes, content_kind="binary"))
+        entries.append(IndexEntry(new_path, classes))
     if dropped:
         import logging
         logging.getLogger(__name__).info(
             "derive_binary_index: dropped %d unmapped entries", dropped)
-    return TestCaseIndex(index.case_name, index.case_version, entries, index.mode)
+    return replace(index, entries=entries, kind="binary")
 
 
 def halve_training(index: TestCaseIndex) -> TestCaseIndex:
@@ -234,8 +242,7 @@ def halve_training(index: TestCaseIndex) -> TestCaseIndex:
         raise ConfigError("halve_training requires a train-mode index")
     n = len(index.entries)
     keep = (n + 1) // 2
-    return TestCaseIndex(index.case_name, index.case_version,
-                         [replace(e) for e in index.entries[:keep]], "train")
+    return replace(index, entries=[replace(e) for e in index.entries[:keep]])
 
 
 # --- XML persistence ---------------------------------------------------------
@@ -252,13 +259,15 @@ def halve_training(index: TestCaseIndex) -> TestCaseIndex:
 # stable: UTF-8, LF endings, two-space indent, attributes in fixed order.
 
 def write_index(index: TestCaseIndex, file) -> None:
+    """Write `index` in the layout load_index reads back to the same bytes;
+    an index that broke a rule after it was built raises IndexFormatError."""
+    index.validate()
     Path(file).parent.mkdir(parents=True, exist_ok=True)
-    kind = _index_kind(index)
     lines = ['<?xml version="1.0" encoding="UTF-8"?>']
     lines.append(
         f"<index case={quoteattr(index.case_name)}"
         f" version={quoteattr(index.case_version)}"
-        f" mode={quoteattr(index.mode)} kind={quoteattr(kind)}>"
+        f" mode={quoteattr(index.mode)} kind={quoteattr(index.kind)}>"
     )
     for entry in index.entries:
         if not entry.classes:
@@ -280,11 +289,6 @@ def write_index(index: TestCaseIndex, file) -> None:
     Path(file).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
 
 
-def _index_kind(index: TestCaseIndex) -> str:
-    return "binary" if any(
-        e.content_kind == "binary" for e in index.entries) else "source"
-
-
 def _ann_xml(ann: Annotation) -> str:
     attrs = []
     if ann.lines:
@@ -294,9 +298,10 @@ def _ann_xml(ann: Annotation) -> str:
     if ann.issue_kind is not None:
         attrs.append(f"issue={quoteattr(ann.issue_kind)}")
     head = "<ann" + ("" if not attrs else " " + " ".join(attrs))
-    if ann.fragment is None:
+    if not ann.fragment:  # "" reads back as no text, so it is written as none
         return head + "/>"
-    return head + ">" + escape(ann.fragment) + "</ann>"
+    # a raw CR would read back as LF (XML end-of-line handling)
+    return head + ">" + escape(ann.fragment, {"\r": "&#13;"}) + "</ann>"
 
 
 def load_index(file) -> TestCaseIndex:
@@ -308,10 +313,6 @@ def load_index(file) -> TestCaseIndex:
     root = tree.getroot()
     if root.tag != "index":
         raise IndexFormatError(f"{file}: root element is <{root.tag}>, not <index>")
-    mode = root.get("mode", "test")
-    kind = root.get("kind", "source")
-    if kind not in ("source", "binary"):
-        raise IndexFormatError(f"{file}: unknown index kind {kind!r}")
     entries = []
     for file_el in root:
         if file_el.tag != "file":
@@ -333,31 +334,25 @@ def load_index(file) -> TestCaseIndex:
                 if ann_el.tag != "ann":
                     raise IndexFormatError(
                         f"{file}: unexpected element <{ann_el.tag}> in {path!r}")
-                anns.append(_parse_ann(ann_el, path, file, kind))
+                anns.append(_parse_ann(ann_el, path, file))
             classes.append((wc, anns))
         try:
-            entries.append(IndexEntry(path, classes, content_kind=kind))
+            entries.append(IndexEntry(path, classes))
         except ValueError as exc:
             raise IndexFormatError(f"{file}: {exc}") from exc
     try:
-        return TestCaseIndex(root.get("case", ""), root.get("version", ""),
-                             entries, mode)
-    except IndexFormatError as exc:
+        return TestCaseIndex(root.get("case", ""), root.get("version", ""), entries,
+                             root.get("mode", "test"), root.get("kind", "source"))
+    except ValueError as exc:
         raise IndexFormatError(f"{file}: {exc}") from exc
 
 
-def _parse_ann(ann_el, path: str, file, kind: str) -> Annotation:
-    line_attr = ann_el.get("line")
-    lines = tuple(int(v) for v in line_attr.split()) if line_attr else ()
-    offset = ann_el.get("offset")
-    issue = ann_el.get("issue")
-    fragment = ann_el.text if ann_el.text else None
-    if kind == "binary" and (lines or fragment):
-        raise IndexFormatError(
-            f"{file}: entry {path!r}: binary index carries source annotations")
+def _parse_ann(ann_el, path: str, file) -> Annotation:
+    line_attr, offset = ann_el.get("line"), ann_el.get("offset")
     try:
         return Annotation(
-            lines=lines, fragment=fragment, issue_kind=issue,
+            lines=tuple(int(v) for v in line_attr.split()) if line_attr else (),
+            fragment=ann_el.text or None, issue_kind=ann_el.get("issue"),
             byte_offset=None if offset is None else int(offset),
         )
     except ValueError as exc:

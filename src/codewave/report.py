@@ -112,6 +112,8 @@ def parse_sate_xml(text: str) -> tuple[list[ScanWarning], CaseMeta]:
         if len(classes) != 1 or len(seconds) > 1:
             raise IndexFormatError("warning must have one class element")
         path = w_el.get("path", "")
+        if not path:
+            raise IndexFormatError("warning without a path")
         try:
             guesses = [WeaknessClass(el.get("kind", ""), el.get("id", ""))
                        for el in classes + seconds]
@@ -128,15 +130,12 @@ def parse_sate_xml(text: str) -> tuple[list[ScanWarning], CaseMeta]:
 def validate_sate_xml(text: str) -> None:
     """Enforce the report schema; raises IndexFormatError on any violation.
 
-    The schema is small enough to check structurally: parse_sate_xml already
-    rejects unknown elements and, naming the warning's path, bad classes,
+    parse_sate_xml checks the whole schema as it parses: unknown elements, a
+    warning without a path and, naming the warning's path, bad classes,
     scores and ranks (a missing class attribute reads as empty and a missing
-    score as NaN, both rejected); what is left is a warning without a path.
+    score as NaN, both rejected). This parses and drops the result.
     """
-    warnings, _ = parse_sate_xml(text)
-    for w in warnings:
-        if not w.path:
-            raise IndexFormatError("warning without a path")
+    parse_sate_xml(text)
 
 
 # --- evidential text (dialect documented in docs/report-formats.md) -------------

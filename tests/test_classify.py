@@ -1,13 +1,15 @@
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from codewave.classify import (METRICS, TrainingSet, classify, distance,
                                distances, load_training_set, save_training_set,
-                               train)
+                               train, training_set_bytes)
 from codewave.errors import ConfigError, ModelFormatError
 from codewave.index import WeaknessClass
 
@@ -208,6 +210,19 @@ class TestClassify:
             assert result[0] == (wc, 0.0)
 
 
+# finite doubles, with signed zeros, subnormals and the ends of the range common
+FINITE = (st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308])
+          | st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def labeled_rows(draw):
+    d = draw(st.integers(1, 4))
+    row = st.lists(FINITE, min_size=d, max_size=d).map(np.array)
+    return draw(st.lists(st.tuples(st.sampled_from([CWE20, CWE119, CWE399]), row),
+                         min_size=1, max_size=6))
+
+
 class TestPersistence:
     def test_roundtrip(self, tmp_path):
         ts = train([(CWE20, fv(0.5, 1.5)), (CWE119, fv(-1, 2)),
@@ -222,6 +237,23 @@ class TestPersistence:
                                   ts.classes[wc].centroid)
             assert loaded.classes[wc].count == ts.classes[wc].count
             assert loaded.classes[wc].kind == ts.classes[wc].kind
+
+    @settings(deadline=None, max_examples=100)
+    @given(labeled_rows(), st.sampled_from(["mean", "median"]),
+           st.text(st.characters(exclude_categories=("Cs",)), min_size=1, max_size=8))
+    def test_saved_training_set_loads_to_the_same_bytes(self, vectors, kind, config_hash):
+        with np.errstate(over="ignore"):  # rows near ±1e308 can sum past the range,
+            try:
+                ts = train(vectors, kind, config_hash)
+            except ValueError:  # and ClusterModel refuses the infinite centroid
+                reject()
+        with tempfile.TemporaryDirectory() as tmp:
+            target = Path(tmp, "model.cwts")
+            target.write_bytes(training_set_bytes(ts))
+            loaded = load_training_set(target)
+        assert training_set_bytes(loaded) == training_set_bytes(ts)
+        for wc, cluster in ts.classes.items():
+            assert loaded.classes[wc].centroid.tobytes() == cluster.centroid.tobytes()
 
     def test_magic_enforced(self, tmp_path):
         bad = tmp_path / "bad.bin"

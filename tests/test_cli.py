@@ -369,7 +369,7 @@ class TestSweepCommand:
                         "--test-index", test_xml, "--root", root, "--jobs", "1",
                         "-cweid"]) == 0
         err = capsys.readouterr().err
-        diagnostic = "diagnostic: 1 warning(s) excluded: path missing from ground truth"
+        diagnostic = "diagnostic: 1 warning(s) excluded: path has no cwe class in ground truth"
         assert err.count(diagnostic) == 1
 
 

@@ -422,6 +422,17 @@ class TestScoreStats:
         assert first.per_config[0].good + first.per_config[0].bad == 1
         assert any("ghost" in d or "missing" in d for d in first.diagnostics)
 
+    def test_absent_and_unlabeled_paths_are_diagnosed_apart(self):
+        truth = self.truth()
+        truth.entries += [IndexEntry("d.c"),  # in the index, with no class
+                          IndexEntry("e.c", [(WeaknessClass.cve("CVE-2009-2562"), [])])]
+        warnings = [warning("a.c", CWE20), warning("ghost.c", CWE20),
+                    warning("d.c", CWE20), warning("e.c", CWE20)]
+        for stats in score_stats(warnings, truth, self.CFG):
+            assert stats.diagnostics[:2] == [
+                "1 warning(s) excluded: path missing from ground truth",
+                "2 warning(s) excluded: path has no cwe class in ground truth"]
+
     def test_never_predicted_class_scores_zero(self):
         warnings = [warning("a.c", CWE20), warning("b.c", CWE20),
                     warning("c.c", CWE20)]

@@ -1,14 +1,36 @@
 import os
 import re
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from codewave.errors import ConfigError, IndexFormatError
-from codewave.index import (Annotation, IndexEntry, WeaknessClass,
+from codewave.index import (ISSUE_KINDS, Annotation, IndexEntry, WeaknessClass,
                             annotate_synthetic, check_corpus_path, collect_files,
                             derive_binary_index, halve_training, load_index,
                             write_index)
 from codewave.index import TestCaseIndex as CaseIndex
+
+# the Char production of XML 1.0, spelt out here rather than taken from the
+# program's own pattern, with the characters markup must escape made common
+XML_CHAR = (st.sampled_from("\t\n\r&<>\"'")
+            | st.characters(min_codepoint=0x20, max_codepoint=0xD7FF)
+            | st.characters(min_codepoint=0xE000, max_codepoint=0xFFFD)
+            | st.characters(min_codepoint=0x10000))
+NOT_XML_CHAR = (st.characters(max_codepoint=0x1F).filter(lambda c: c not in "\t\n\r")
+                | st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF,
+                                categories=("Cs",))
+                | st.sampled_from("\ufffe\uffff"))
+XML_TEXT = st.text(XML_CHAR, max_size=8)
+PATHS = st.text(XML_CHAR, min_size=1, max_size=8).filter(
+    lambda p: not p.startswith("/") and ".." not in p.split("/"))
+CLASSES = st.sampled_from([WeaknessClass.cve("CVE-2009-2562"), WeaknessClass.cwe("CWE-119"),
+                           WeaknessClass.cwe("NVD-CWE-noinfo")])
+DOC = Path(__file__).resolve().parents[1] / "docs" / "index-format.md"
 
 
 def make_entry(path, class_ids=(), kind="cwe", anns=()):
@@ -168,11 +190,6 @@ class TestPersistence:
         for path in ("a..c", ".hidden/x.c", "./a.c", "d/..e/f.c"):
             assert IndexEntry(path).path == path
 
-    def test_mixed_content_kinds_rejected(self):
-        entries = [IndexEntry("a.c"), IndexEntry("b.o", content_kind="binary")]
-        with pytest.raises(IndexFormatError, match="mixes"):
-            CaseIndex("c", "1", entries)
-
     def test_escaped_characters_roundtrip(self, tmp_path):
         ann = Annotation(fragment='if (a < b && c == "x")')
         index = CaseIndex(
@@ -190,6 +207,122 @@ class TestPersistence:
         with pytest.raises(IndexFormatError, match="binary"):
             load_index(target)
 
+    @pytest.mark.parametrize("mode,kind,ann,message", [
+        ("test", "object", "", "unknown index kind 'object'"),
+        ("bogus", "source", "", "unknown index mode 'bogus'"),
+        ("test", "source", '<ann line="x"/>',
+         "entry 'a.o': invalid literal for int() with base 10: 'x'"),
+        ("test", "binary", '<ann line="3"/>',
+         "entry 'a.o': binary index carries source annotations"),
+        ("test", "binary", "<ann>x</ann>",
+         "entry 'a.o': binary index carries source annotations")])
+    def test_load_errors_name_the_file(self, tmp_path, mode, kind, ann, message):
+        target = tmp_path / "bin.xml"
+        target.write_text(
+            f'<index case="c" version="1" mode="{mode}" kind="{kind}">'
+            f'<file path="a.o"><class kind="cwe" id="CWE-119">{ann}'
+            '</class></file></index>')
+        with pytest.raises(IndexFormatError) as info:
+            load_index(target)
+        assert str(info.value) == f"{target}: {message}"
+
+    def test_binary_index_refuses_source_annotations_when_built(self):
+        for ann in (Annotation(lines=(3,)), Annotation(fragment="x"),
+                    Annotation(fragment="")):
+            entry = IndexEntry("a.o", [(WeaknessClass.cwe("CWE-119"), [ann])])
+            with pytest.raises(IndexFormatError, match="binary index carries"):
+                CaseIndex("c", "1", [entry], kind="binary")
+
+    def test_empty_binary_index_keeps_its_kind(self, tmp_path):
+        dropped_all = derive_binary_index(CaseIndex("c", "1", [make_entry("README")]),
+                                          {".c": ".o"})
+        assert self.roundtrip(dropped_all, tmp_path).kind == "binary"
+
+    def test_write_refuses_an_index_broken_after_it_was_built(self, tmp_path):
+        index = CaseIndex("c", "1", [make_entry("a.c", ["CWE-119"])], mode="train")
+        index.entries.append(IndexEntry("b.c"))
+        target = tmp_path / "broken.xml"
+        with pytest.raises(IndexFormatError, match="'b.c' carries no class"):
+            write_index(index, target)
+        assert not target.exists()
+
+    @pytest.mark.parametrize("fragment,written", [
+        ("x\r\ny", "<ann>x&#13;\ny</ann>"), ("", "<ann/>"), (" ", "<ann> </ann>")])
+    def test_fragment_text_reads_back_as_written(self, tmp_path, fragment, written):
+        index = CaseIndex("c", "1", [make_entry(
+            "a.c", ["CWE-119"], anns=[Annotation(fragment=fragment)])])
+        target = tmp_path / "index.xml"
+        write_index(index, target)
+        assert written in target.read_text(encoding="utf-8")
+        [(_, [ann])] = load_index(target).entries[0].classes
+        assert ann.fragment == (fragment or None)
+
+    def test_documented_example_reads_back_byte_identical(self, tmp_path):
+        """The docs' example is a valid index in the writer's exact layout."""
+        [block] = re.findall(r"```xml\n(.*?)```", DOC.read_text(encoding="utf-8"),
+                             re.DOTALL)
+        source, target = tmp_path / "doc.xml", tmp_path / "again.xml"
+        source.write_bytes(block.encode("utf-8"))
+        write_index(load_index(source), target)
+        assert target.read_bytes() == source.read_bytes()
+
+
+@st.composite
+def indexes(draw):
+    """Any index the types let one build: both modes and kinds, up to six
+    entries, and the annotations the kind allows."""
+    mode = draw(st.sampled_from(("train", "test")))
+    kind = draw(st.sampled_from(("source", "binary")))
+    source = kind == "source"
+    anns = st.builds(
+        Annotation,
+        lines=st.lists(st.integers(1, 2**40), max_size=3).map(tuple) if source
+        else st.just(()),
+        fragment=st.none() | XML_TEXT if source else st.none(),
+        issue_kind=st.none() | st.sampled_from(ISSUE_KINDS),
+        byte_offset=st.none() | st.integers(0, 2**64))
+    classes = st.lists(st.tuples(CLASSES, st.lists(anns, max_size=2)),
+                       min_size=mode == "train", max_size=3, unique_by=lambda c: c[0])
+    entries = [IndexEntry(path, draw(classes))
+               for path in draw(st.lists(PATHS, max_size=6, unique=True))]
+    return CaseIndex(draw(XML_TEXT), draw(XML_TEXT), entries, mode, kind)
+
+
+@settings(deadline=None, max_examples=100)
+@given(indexes())
+@example(CaseIndex("", "", [make_entry("a.c", ["CWE-119"], anns=[
+    Annotation(fragment="x\r\ny"), Annotation(fragment="")])]))
+@example(CaseIndex("c", "1", kind="binary"))
+def test_index_write_load_write_is_byte_stable(index):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "one.xml"), Path(tmp, "two.xml")
+        write_index(index, first)
+        loaded = load_index(first)
+        write_index(loaded, second)
+        assert second.read_bytes() == first.read_bytes()
+    # and nothing is lost on the way: an empty fragment is the one text read as none
+    assert loaded == replace(index, entries=[
+        replace(e, classes=[(wc, [replace(a, fragment=a.fragment or None) for a in anns])
+                            for wc, anns in e.classes]) for e in index.entries])
+
+
+@settings(deadline=None, max_examples=100)
+@given(XML_TEXT, NOT_XML_CHAR, XML_TEXT,
+       st.sampled_from(["case", "version", "fragment", "path"]))
+def test_text_xml_cannot_carry_is_refused_when_built(before, bad, after, where):
+    text = before + bad + after
+    with tempfile.TemporaryDirectory() as tmp:
+        target = Path(tmp, "index.xml")
+        with pytest.raises(ValueError, match="XML 1.0 cannot carry"):
+            write_index(CaseIndex(
+                text if where == "case" else "c",
+                text if where == "version" else "1",
+                [IndexEntry(text if where == "path" else "a.c", [(
+                    WeaknessClass.cwe("CWE-119"),
+                    [Annotation(fragment=text if where == "fragment" else None)])])]),
+                target)
+        assert not target.exists()
+
 
 class TestDeriveBinary:
     MAPPING = {".java": ".class", ".c": ".o"}
@@ -202,7 +335,7 @@ class TestDeriveBinary:
         out = derive_binary_index(index, self.MAPPING)
         entry = out.entries[0]
         assert entry.path == "a.class"
-        assert entry.content_kind == "binary"
+        assert out.kind == "binary"
         wc, anns = entry.classes[0]
         assert anns[0].lines == () and anns[0].fragment is None
 

@@ -1,15 +1,18 @@
 import math
 import struct
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codewave.errors import ConfigError, ModelFormatError
 from codewave.index import WeaknessClass
-from codewave.nlp import (NGramModel, SmoothingSpec, load_models, ngram_counts,
-                          probability, rank_models, save_models, score_document,
-                          score_documents, train_model)
+from codewave.nlp import (NGramModel, SmoothingSpec, load_models, models_bytes,
+                          ngram_counts, probability, rank_models, save_models,
+                          score_document, score_documents, train_model)
 
 from .oracles import brute_ngram_counts, sequential_score
 
@@ -283,6 +286,27 @@ class TestPersistence:
             assert loaded[wc].counts == models[wc].counts
             assert loaded[wc].totals == models[wc].totals
             assert loaded[wc].n == 2
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.integers(1, 3),
+           st.dictionaries(st.sampled_from([CWE20, CWE119, WeaknessClass.cve("CVE-2009-2562")]),
+                           st.lists(st.binary(max_size=48), max_size=4),
+                           min_size=1, max_size=3),
+           st.text(st.characters(exclude_categories=("Cs",)), max_size=8))
+    def test_saved_models_load_to_the_same_bytes(self, n, documents, config_hash):
+        models = {wc: NGramModel(n=n, label=wc) for wc in documents}
+        for wc, docs in documents.items():
+            for doc in docs:
+                models[wc].update(doc)
+        data = models_bytes(models, config_hash)
+        with tempfile.TemporaryDirectory() as tmp:
+            target = Path(tmp, "models.cwnm")
+            target.write_bytes(data)
+            loaded, loaded_hash = load_models(target)
+        assert models_bytes(loaded, loaded_hash) == data
+        for wc, model in models.items():
+            for got, want in zip(loaded[wc].code_counts(), model.code_counts()):
+                assert np.array_equal(got, want)
 
     def test_magic_enforced(self, tmp_path):
         bad = tmp_path / "bad.bin"

@@ -87,6 +87,13 @@ class TestSateXml:
             with pytest.raises(IndexFormatError, match="'src/a.c'"):
                 read(doc)
 
+    def test_warning_without_a_path_refused(self):
+        for path in ("", ' path=""'):
+            doc = (f'<report><warning{path} score="1">'
+                   '<class kind="cwe" id="CWE-20"/></warning></report>')
+            with pytest.raises(IndexFormatError, match="warning without a path"):
+                parse_sate_xml(doc)
+
     def test_bad_class_names_the_path(self):
         doc = ('<report><warning path="src/a.c" score="1">'
                '<class kind="cwe" id="CWE-20"/><second kind="cwe" id="oops"/>'
