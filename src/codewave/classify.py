@@ -74,10 +74,13 @@ def train(vectors: list[tuple[WeaknessClass, np.ndarray]],
     if len(dims) != 1:
         raise ConfigError(f"mixed feature dimensions: {sorted(dims)}")
     aggregate = np.mean if kind == "mean" else np.median
-    classes = {
-        wc: ClusterModel(aggregate(np.vstack(members), axis=0), len(members), kind)
-        for wc, members in grouped.items()
-    }
+    classes = {}
+    with np.errstate(over="ignore"):  # finite rows can sum past the range
+        for wc, members in grouped.items():
+            centroid = aggregate(np.vstack(members), axis=0)
+            if not np.all(np.isfinite(centroid)) and np.all(np.isfinite(members)):
+                raise ConfigError(f"the {kind} centroid of class {wc.id} overflows float64")
+            classes[wc] = ClusterModel(centroid, len(members), kind)
     return TrainingSet(classes, config_hash)
 
 
@@ -160,12 +163,9 @@ def rank(classes: list[WeaknessClass], scores) -> list[tuple[WeaknessClass, floa
             for j in np.argsort(scores, kind="stable")]
 
 
-def centroid_distances(X, ts: TrainingSet, classes: list[WeaknessClass],
-                       metric: str = "eucl", p: float = 3.0,
-                       tol: float = 1e-4) -> np.ndarray:
-    """N x K distances from the rows of X to the centroids of `classes`."""
-    centroids = np.array([ts.classes[wc].centroid for wc in classes])
-    return distances(X, centroids, metric, p, tol)
+def centroids(ts: TrainingSet, classes: list[WeaknessClass]) -> np.ndarray:
+    """K x d matrix of the centroids of `classes`, one row per class."""
+    return np.array([ts.classes[wc].centroid for wc in classes])
 
 
 def classify(v: np.ndarray, ts: TrainingSet, metric: str = "eucl",
@@ -181,8 +181,8 @@ def classify(v: np.ndarray, ts: TrainingSet, metric: str = "eucl",
         raise ConfigError(
             f"vector dimension {len(v)} does not match training set {ts.dimension}")
     classes = by_id(ts.classes)
-    scores = centroid_distances(v.reshape(1, -1), ts, classes, metric, p, tol)
-    return rank(classes, scores[0])
+    return rank(classes, distances(v.reshape(1, -1), centroids(ts, classes),
+                                   metric, p, tol)[0])
 
 
 # --- persistence (see docs/model-format.md) ----------------------------------

@@ -17,13 +17,14 @@ from collections import Counter
 from dataclasses import dataclass, field, fields
 from decimal import ROUND_HALF_UP, Decimal
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
 import numpy as np
 
 from . import nlp
-from .classify import METRICS, TrainingSet, by_id, centroid_distances, training_set_bytes
+from .classify import METRICS, TrainingSet, by_id, centroids, distances, training_set_bytes
 from .classify import train as train_clusters
 from .errors import ConfigError
 # classify_vector, extract_* and preprocess are the one-file forms of the
@@ -278,10 +279,9 @@ def parse_option_string(option_string: str) -> PipelineConfig:
 # Measured on 4 KB files (-raw -fft): in 40-file passes, 32 KB blocks cost
 # 28 page faults and 146 us per file where 16 KB blocks cost 0.1 faults and
 # 119 us (one file at a time: 0.1 faults, 136 us); in 1,600-file passes both
-# take about 91 us. Larger blocks also raise peak memory (256 KB blocks add
-# 4.7 MB to a 200-class scan's 51 MB). A file of another length, or one that
-# would take a block past the bound, starts the next block, and a larger file
-# is a block of its own.
+# take about 91 us. Larger blocks raise peak memory: a test pass holds one
+# block at a time. A file of another length, or one that would take a block
+# past the bound, starts the next block; a larger file is a block of its own.
 BLOCK_BYTES = 16 * 1024
 
 
@@ -557,21 +557,26 @@ def _fork_map(fn, items: list, jobs: int) -> list:
     return results
 
 
-def _features(cfg: PipelineConfig, root, paths: list[str]) -> np.ndarray:
-    """N x d float64 feature matrix, one row per file, filled a block of
-    files at a time (see BLOCK_BYTES)."""
-    matrix = np.empty((len(paths), _feature_dim(cfg)))
+def _blocks(cfg: PipelineConfig, root, paths: list[str]):
+    """(start, stop, rows) for each block of files (see BLOCK_BYTES): the
+    feature rows of paths[start:stop], checked finite before they go on."""
     block, start = [], 0
-    for i, data in enumerate(_contents(root, paths)):
-        if block and (len(data) != len(block[0])
+    for i, data in enumerate(chain(_contents(root, paths), [None])):  # None: end of input
+        if block and (data is None or len(data) != len(block[0])
                       or (len(block) + 1) * len(data) > BLOCK_BYTES):
-            matrix[start:i] = _block_features(cfg, block)
+            rows = _block_features(cfg, block)
+            if not np.all(np.isfinite(rows)):
+                raise ValueError("feature vector contains non-finite values")
+            yield start, i, rows
             block, start = [], i
         block.append(data)
-    if block:
-        matrix[start:] = _block_features(cfg, block)
-    if not np.all(np.isfinite(matrix)):
-        raise ValueError("feature vector contains non-finite values")
+
+
+def _features(cfg: PipelineConfig, root, paths: list[str]) -> np.ndarray:
+    """N x d float64 feature matrix, one row per file (see `_blocks`)."""
+    matrix = np.empty((len(paths), _feature_dim(cfg)))
+    for start, stop, rows in _blocks(cfg, root, paths):
+        matrix[start:stop] = rows
     return matrix
 
 
@@ -629,19 +634,22 @@ def _model_classes(model: ModelType, cfg: PipelineConfig) -> list[WeaknessClass]
 def _scores(cfg: PipelineConfig, model: ModelType,
             classes: list[WeaknessClass], root, paths: list[str]) -> np.ndarray:
     """N x K score matrix of file contents against `classes`, lower is
-    better: centroid distances, or negated n-gram log-likelihoods."""
+    better: centroid distances, or negated n-gram log-likelihoods. A signal
+    pass scores each block as `_blocks` extracts it, so it holds N x K scores
+    and one block's features, never the N x d feature matrix."""
     if cfg.pipeline == "signal":
-        return centroid_distances(_features(cfg, root, paths), model, classes,
-                                  cfg.metric, cfg.mink_p, cfg.tolerance)
-    return -nlp.score_documents(_contents(root, paths),
-                                [model[wc] for wc in classes],
+        C, scores = centroids(model, classes), np.empty((len(paths), len(classes)))
+        for start, stop, rows in _blocks(cfg, root, paths):
+            scores[start:stop] = distances(rows, C, cfg.metric, cfg.mink_p, cfg.tolerance)
+        return scores
+    return -nlp.score_documents(_contents(root, paths), [model[wc] for wc in classes],
                                 cfg.smoothing_spec())
 
 
 def _score_index(index: TestCaseIndex, model: ModelType, cfg: PipelineConfig,
                  root, jobs: int):
     """(paths, classes, scores) for every file of `index`, from one
-    fork-join whose children each return their block of the score matrix."""
+    fork-join whose children each return their chunk's score rows."""
     classes = _model_classes(model, cfg)
     paths = [entry.path for entry in index.entries]
     if cfg.pipeline == "nlp":
@@ -660,14 +668,10 @@ def _warnings(paths: list[str], classes: list[WeaknessClass],
     A stable sort over id-ordered columns ranks by (score, id), so only
     the top two entries of each row are ever materialized.
     """
-    warnings = []
     top_two = np.argsort(scores, axis=1, kind="stable")[:, :2]
-    for path, row, top in zip(paths, scores, top_two):
-        warning = warning_from_result(
-            path, [(classes[j], float(row[j])) for j in top], cfg)
-        if warning is not None:
-            warnings.append(warning)
-    return warnings
+    warnings = (warning_from_result(path, [(classes[j], float(row[j])) for j in top], cfg)
+                for path, row, top in zip(paths, scores, top_two))
+    return [warning for warning in warnings if warning is not None]
 
 
 def _labeled(index: TestCaseIndex, cfg: PipelineConfig,
@@ -771,8 +775,8 @@ def _group_pass(train_index: TestCaseIndex, test_index: TestCaseIndex,
     def classify_all(c: PipelineConfig) -> list[ScanWarning]:
         model = _train(labeled, c, rows)
         classes = by_id(model.classes)
-        return _warnings(test_paths, classes, centroid_distances(
-            X, model, classes, c.metric, c.mink_p, c.tolerance), c)
+        return _warnings(test_paths, classes, distances(
+            X, centroids(model, classes), c.metric, c.mink_p, c.tolerance), c)
     return classify_all
 
 

@@ -153,10 +153,7 @@ class TestCaseIndex:
         return replace(self, entries=[replace(e) for e in self.entries], mode=mode)
 
     def all_classes(self) -> set[WeaknessClass]:
-        out: set[WeaknessClass] = set()
-        for entry in self.entries:
-            out |= entry.class_set()
-        return out
+        return set().union(*(entry.class_set() for entry in self.entries))
 
 
 def collect_files(root_dir, extensions: Iterable[str],
@@ -240,8 +237,7 @@ def halve_training(index: TestCaseIndex) -> TestCaseIndex:
     """
     if index.mode != "train":
         raise ConfigError("halve_training requires a train-mode index")
-    n = len(index.entries)
-    keep = (n + 1) // 2
+    keep = (len(index.entries) + 1) // 2
     return replace(index, entries=[replace(e) for e in index.entries[:keep]])
 
 

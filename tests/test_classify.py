@@ -48,6 +48,19 @@ class TestTrain:
         with pytest.raises(ConfigError):
             train([(CWE20, fv(1, 2)), (CWE119, fv(1, 2, 3))], "mean")
 
+    @pytest.mark.parametrize("kind", ["mean", "median"])
+    def test_overflowing_centroid_names_its_class(self, kind):
+        # each row is finite, but both sum past float64 in the first column
+        vectors = [(CWE119, fv(0, 0)), (CWE20, fv(1e308, 0)), (CWE20, fv(1e308, 1))]
+        with pytest.raises(ConfigError, match=f"^the {kind} centroid of class "
+                           "CWE-20 overflows float64$"):
+            train(vectors, kind)
+
+    def test_non_finite_rows_keep_the_centroid_error(self):
+        with pytest.raises(ValueError, match="centroid contains non-finite") as caught:
+            train([(CWE20, fv(np.inf, 0)), (CWE20, fv(1, 0))], "mean")
+        assert not isinstance(caught.value, ConfigError)
+
     def test_order_free(self):
         vectors = [(CWE20, fv(0, 2)), (CWE119, fv(5, 5)), (CWE20, fv(2, 0))]
         a = train(vectors, "mean")
