@@ -13,8 +13,8 @@ from .features import extract_fft, extract_lpc, extract_minmax
 from .index import (Annotation, IndexEntry, TestCaseIndex, WeaknessClass,
                     annotate_synthetic, collect_files, derive_binary_index,
                     halve_training, load_index, write_index)
-from .loader import Signal, load_signal, normalize
-from .nlp import NGramModel, SmoothingSpec, probability, score_document, train_model
+from .loader import Signal
+from .nlp import NGramModel, SmoothingSpec, probability, train_model
 from .preprocess import FilterSpec, WaveletSpec, fft_low_pass, preprocess, sdwt, upfirdn
 
 __version__ = "0.1.0"
@@ -26,8 +26,7 @@ __all__ = [
     "WaveletSpec", "WeaknessClass", "annotate_synthetic", "classify",
     "collect_files", "derive_binary_index", "distance", "extract_fft",
     "extract_lpc", "extract_minmax", "fft_low_pass", "halve_training",
-    "load_index", "load_signal", "normalize", "parse_option_string",
-    "parse_option_tokens", "preprocess", "probability", "run_once",
-    "score_document", "score_stats", "sdwt", "sweep", "test_case", "train",
-    "train_case", "train_model", "upfirdn", "write_index", "__version__",
+    "load_index", "parse_option_string", "parse_option_tokens", "preprocess",
+    "probability", "run_once", "score_stats", "sdwt", "sweep", "test_case",
+    "train", "train_case", "train_model", "upfirdn", "write_index", "__version__",
 ]

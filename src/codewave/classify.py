@@ -225,10 +225,6 @@ def training_set_bytes(ts: TrainingSet) -> bytes:
     return bytes(out)
 
 
-def save_training_set(ts: TrainingSet, file) -> None:
-    Path(file).write_bytes(training_set_bytes(ts))
-
-
 def load_training_set(file) -> TrainingSet:
     with _model_buffer(file) as buf:
         if bytes(buf[:4]) != MAGIC:

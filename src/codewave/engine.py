@@ -280,8 +280,10 @@ def parse_option_string(option_string: str) -> PipelineConfig:
 # 28 page faults and 146 us per file where 16 KB blocks cost 0.1 faults and
 # 119 us (one file at a time: 0.1 faults, 136 us); in 1,600-file passes both
 # take about 91 us. Larger blocks raise peak memory: a test pass holds one
-# block at a time. A file of another length, or one that would take a block
-# past the bound, starts the next block; a larger file is a block of its own.
+# block at a time. A file counts as at least BLOCK_BYTES // 16 bytes, so a
+# block holds at most 16 short (or empty) files. A file of another length, or
+# one that would take a block past the bound, starts the next block; a larger
+# file is a block of its own.
 BLOCK_BYTES = 16 * 1024
 
 
@@ -563,7 +565,7 @@ def _blocks(cfg: PipelineConfig, root, paths: list[str]):
     block, start = [], 0
     for i, data in enumerate(chain(_contents(root, paths), [None])):  # None: end of input
         if block and (data is None or len(data) != len(block[0])
-                      or (len(block) + 1) * len(data) > BLOCK_BYTES):
+                      or (len(block) + 1) * max(len(data), BLOCK_BYTES // 16) > BLOCK_BYTES):
             rows = _block_features(cfg, block)
             if not np.all(np.isfinite(rows)):
                 raise ValueError("feature vector contains non-finite values")

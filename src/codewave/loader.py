@@ -9,7 +9,6 @@ pure function of content.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -46,15 +45,6 @@ def samples_from_bytes(data: bytes, ngram: int) -> np.ndarray:
     )
     packed -= (packed >= 1 << 23) * (1 << 24)
     return packed.astype(np.float64) / float(1 << 23)
-
-
-def load_signal(file, ngram: int = 2) -> Signal:
-    return Signal(samples_from_bytes(Path(file).read_bytes(), ngram))
-
-
-def normalize(signal: Signal) -> Signal:
-    """Scale peak amplitude to 1. All-zero and empty signals pass through."""
-    return Signal(peak_normalize(signal.samples[np.newaxis])[0])
 
 
 def peak_normalize(rows: np.ndarray) -> np.ndarray:

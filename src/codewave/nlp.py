@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -138,9 +137,6 @@ class NGramModel:
     def totals(self) -> dict[bytes, int]:
         """{context bytes: number of n-grams with that context}."""
         return self._dict_views()[1]
-
-    def is_empty(self) -> bool:
-        return not len(self.code_counts()[0])
 
     def log_prob_table(self, smoothing: SmoothingSpec) -> _LogProbTable:
         """The model's log-prob table under `smoothing`, built on first use."""
@@ -279,12 +275,6 @@ def score_documents(documents: Iterable[bytes], models: Sequence[NGramModel],
     return np.array(rows, dtype=np.float64).reshape(len(rows), len(models))
 
 
-def score_document(data: bytes, model: NGramModel,
-                   smoothing: SmoothingSpec) -> float:
-    """Natural-log likelihood of one document's n-grams; higher is better."""
-    return float(score_documents([data], [model], smoothing)[0, 0])
-
-
 def rank_models(data: bytes, models: dict[WeaknessClass, NGramModel],
                 smoothing: SmoothingSpec) -> list[tuple[WeaknessClass, float]]:
     """Rank classes by descending log-likelihood of the document.
@@ -330,11 +320,6 @@ def models_bytes(models: dict[WeaknessClass, NGramModel],
             out += struct.pack("<I", hi - lo)
             out += records[lo:hi].tobytes()
     return bytes(out)
-
-
-def save_models(models: dict[WeaknessClass, NGramModel], file,
-                config_hash: str = "unconfigured") -> None:
-    Path(file).write_bytes(models_bytes(models, config_hash))
 
 
 def load_models(file) -> tuple[dict[WeaknessClass, NGramModel], str]:

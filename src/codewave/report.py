@@ -95,6 +95,9 @@ def export_sate_xml(warnings: Iterable[ScanWarning], meta: CaseMeta,
 
 
 def parse_sate_xml(text: str) -> tuple[list[ScanWarning], CaseMeta]:
+    """The warnings and case of a report, checked against the whole schema
+    as they are read: an unknown element, a warning without a path or, naming
+    the path, a bad or missing class, score or rank raises IndexFormatError."""
     try:
         root = ElementTree.fromstring(text)
     except ElementTree.ParseError as exc:
@@ -125,17 +128,6 @@ def parse_sate_xml(text: str) -> tuple[list[ScanWarning], CaseMeta]:
         except ValueError as exc:
             raise IndexFormatError(f"warning {path!r}: {exc}") from None
     return warnings, meta
-
-
-def validate_sate_xml(text: str) -> None:
-    """Enforce the report schema; raises IndexFormatError on any violation.
-
-    parse_sate_xml checks the whole schema as it parses: unknown elements, a
-    warning without a path and, naming the warning's path, bad classes,
-    scores and ranks (a missing class attribute reads as empty and a missing
-    score as NaN, both rejected). This parses and drops the result.
-    """
-    parse_sate_xml(text)
 
 
 # --- evidential text (dialect documented in docs/report-formats.md) -------------

@@ -118,7 +118,7 @@ def sequential_score(data, model, smoothing):
     n-gram, added left to right, stopping at the first zero."""
     n = model.n
     n_grams = len(data) - n + 1
-    if smoothing.kind == "mle" and model.is_empty() and n_grams > 0:
+    if smoothing.kind == "mle" and len(model.code_counts()[0]) == 0 and n_grams > 0:
         return -math.inf
     score = 0.0
     for i in range(n_grams):

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from codewave import dnet, report
-from codewave.classify import distance, save_training_set
+from codewave.classify import distance, training_set_bytes
 from codewave.cli import main as cli_main
 from codewave.engine import (StatsRow, calibrate_threshold, check_recall,
                              parse_option_string, precision_pct, run_once,
@@ -78,7 +78,7 @@ def test_criterion_02_fixed_version_empty_report(clean_corpus, tmp_path):
     index_xml = tmp_path / "fixed_test.xml"
     write_index(fixed_index, index_xml)
     model_file = tmp_path / "model.cwts"
-    save_training_set(model, model_file)
+    model_file.write_bytes(training_set_bytes(model))
 
     out_dir = tmp_path / "reports"
     exit_code = cli_main([
@@ -103,7 +103,7 @@ def test_criterion_02_thresholded_scan_reports_no_recall_shortfall(
     index_xml = tmp_path / "fixed_test.xml"
     write_index(random_content_copy(index.with_mode("test"), root, fixed_root), index_xml)
     model_file = tmp_path / "model.cwts"
-    save_training_set(model, model_file)
+    model_file.write_bytes(training_set_bytes(model))
     capsys.readouterr()
     assert cli_main([
         "test", "--index", str(index_xml), "--root", str(fixed_root),
@@ -303,7 +303,7 @@ def test_criterion_10_distributed_equivalence(clean_corpus, tmp_path):
     index = train_index.with_mode("test")
     model = train_case(train_index, CFG, root)
     model_file = tmp_path / "model.cwts"
-    save_training_set(model, model_file)
+    model_file.write_bytes(training_set_bytes(model))
     monolithic = classify_case(index, model, CFG, root)
     mono_xml, mono_table = _render_outputs(monolithic, index)
 

@@ -3,8 +3,9 @@
 A signal test pass scores each block of files as `engine._features` extracts
 it, so it never holds the N x d feature matrix. Its scores must have the bits
 of the distances from that whole matrix, whatever the block bound, the class
-count and the fork-join chunking; its peak memory must not grow with N x d;
-and a non-finite block must fail with the old error, before it is scored.
+count and the fork-join chunking; its peak memory must not grow with N x d,
+nor with N over short or empty files; and a non-finite block must fail with
+the old error, before it is scored.
 """
 
 import dataclasses
@@ -72,22 +73,40 @@ def test_block_scores_equal_whole_pass_distances(cfg, metric, p, tol, blobs, blo
     assert got.tobytes() == want.tobytes()
 
 
-def test_peak_memory_is_one_block_not_the_pass(tmp_path):
-    # 2,000 files x 4 KB: the whole pass's features alone are 8 MB (512 bins
-    # of 8 bytes a file), its 5-class scores 80 KB
+def traced_scores(root, blobs, rng):
+    """The 5-class `-raw -fft -cheb` scores of `blobs`, and the peak traced
+    allocation of the pass."""
     cfg = engine.parse_option_string("-raw -fft -cheb")
-    rng = np.random.default_rng(3)
-    blobs = [rng.integers(0, 256, 4096, dtype=np.uint8).tobytes() for _ in range(2000)]
-    paths = write_files(tmp_path, blobs)
+    paths = write_files(root, blobs)
     model = model_of(cfg, rng.random((5, engine._feature_dim(cfg))))
     classes = engine._model_classes(model, cfg)
     tracemalloc.start()
     try:
-        scores = engine._scores(cfg, model, classes, tmp_path, paths)
-        peak = tracemalloc.get_traced_memory()[1]
+        scores = engine._scores(cfg, model, classes, root, paths)
+        return scores, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_peak_memory_is_one_block_not_the_pass(tmp_path):
+    # 2,000 files x 4 KB: the whole pass's features alone are 8 MB (512 bins
+    # of 8 bytes a file), its 5-class scores 80 KB
+    rng = np.random.default_rng(3)
+    blobs = [rng.integers(0, 256, 4096, dtype=np.uint8).tobytes() for _ in range(2000)]
+    scores, peak = traced_scores(tmp_path, blobs, rng)
     assert scores.shape == (2000, 5)
+    assert peak < 4 * 2**20, f"peak traced allocation {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("size", [0, 1], ids=["empty", "one byte"])
+def test_peak_memory_of_short_files_is_bounded(tmp_path, size):
+    # counted by their bytes alone, 3,000 such files would fill one block,
+    # whose features take 12 MB and whose preprocessing takes more
+    blobs = [bytes([i % 256])[:size] for i in range(3000)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ShortSignalWarning)
+        scores, peak = traced_scores(tmp_path, blobs, np.random.default_rng(3))
+    assert scores.shape == (3000, 5)
     assert peak < 4 * 2**20, f"peak traced allocation {peak / 2**20:.1f} MiB"
 
 

@@ -8,8 +8,8 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from codewave.classify import (METRICS, TrainingSet, classify, distance,
-                               distances, load_training_set, save_training_set,
-                               train, training_set_bytes)
+                               distances, load_training_set, train,
+                               training_set_bytes)
 from codewave.errors import ConfigError, ModelFormatError
 from codewave.index import WeaknessClass
 
@@ -241,7 +241,7 @@ class TestPersistence:
         ts = train([(CWE20, fv(0.5, 1.5)), (CWE119, fv(-1, 2)),
                     (CWE119, fv(0, 0))], "median", config_hash="abc123")
         target = tmp_path / "model.cwts"
-        save_training_set(ts, target)
+        target.write_bytes(training_set_bytes(ts))
         loaded = load_training_set(target)
         assert loaded.config_hash == "abc123"
         assert set(loaded.classes) == set(ts.classes)
@@ -276,8 +276,8 @@ class TestPersistence:
 
     def test_every_cut_is_a_format_error(self, tmp_path):
         target = tmp_path / "model.cwts"
-        save_training_set(train([(CWE20, fv(0.5, 1.5)), (CWE119, fv(-1, 2))],
-                                "mean", config_hash="abc123"), target)
+        target.write_bytes(training_set_bytes(train(
+            [(CWE20, fv(0.5, 1.5)), (CWE119, fv(-1, 2))], "mean", config_hash="abc123")))
         whole = target.read_bytes()
         for cut in range(len(whole)):
             target.write_bytes(whole[:cut])

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from codewave.dnet import (PENDING, DemandStoreServer, StoreClient, deposit_dema
 from codewave.engine import parse_option_tokens, train_case
 from codewave.index import IndexEntry, WeaknessClass, load_index, write_index
 from codewave.index import TestCaseIndex as CaseIndex
-from codewave.nlp import load_models, save_models
+from codewave.nlp import load_models, models_bytes
 from codewave.report import parse_sate_xml
 
 from .corpusgen import build_corpus
@@ -60,6 +61,22 @@ class TestTrainTest:
         tables = list(out.glob("report-*.txt"))
         assert len(tables) == 1
         assert "100.00" in tables[0].read_text()
+
+    def test_stamp_adds_one_comment_after_the_declaration(self, corpus):
+        root, train_xml, test_xml, base = corpus
+        model = base / "model.cwts"
+        assert run_cli(["train", "--index", train_xml, "--root", root,
+                        "--model", model, *CFG_FLAGS]) == 0
+        docs = []
+        for out, stamp in ((base / "plain", []), (base / "stamped", ["--stamp"])):
+            assert run_cli(["test", "--index", test_xml, "--root", root, "--model",
+                            model, "--out", out, *stamp, *CFG_FLAGS]) == 0
+            (xml_path,) = out.glob("report-*.xml")
+            docs.append(xml_path.read_text().splitlines(keepends=True))
+        plain, stamped = docs
+        assert plain[0].startswith("<?xml ")
+        assert re.fullmatch(r"<!-- generated \S+ -->\n", stamped[1])
+        assert stamped[:1] + stamped[2:] == plain
 
     def test_outputs_have_umask_modes_and_a_retrain_replaces_the_model(
             self, corpus):
@@ -111,8 +128,8 @@ class TestTrainTest:
         root, train_xml, test_xml, base = corpus
         flags = ["-cweid", "-nopreprep", "-char", "-bigram", "-mle"]
         model = base / "model.cwnm"
-        save_models(train_case(load_index(train_xml), parse_option_tokens(flags),
-                               root), model)  # stored hash "unconfigured"
+        model.write_bytes(models_bytes(train_case(
+            load_index(train_xml), parse_option_tokens(flags), root)))  # stored hash "unconfigured"
         code = run_cli(["test", "--index", test_xml, "--root", root,
                         "--model", model, "--out", base / "out", *flags])
         assert code == 1
@@ -328,6 +345,24 @@ class TestReportCommand:
         assert run_cli(["report", "--report", report_path,
                         "--index", test_xml]) == 0
         assert "100.00" in capsys.readouterr().out
+
+    def test_by_class_prints_one_row_per_true_class(self, corpus, capsys):
+        root, train_xml, test_xml, base = corpus
+        model, out = base / "model.cwts", base / "r"
+        run_cli(["train", "--index", train_xml, "--root", root,
+                 "--model", model, *CFG_FLAGS])
+        run_cli(["test", "--index", test_xml, "--root", root,
+                 "--model", model, "--out", out, *CFG_FLAGS])
+        capsys.readouterr()
+        assert run_cli(["report", "--report", next(out.glob("report-*.xml")),
+                        "--index", test_xml, "--by-class"]) == 0
+        header, *rows = (line.split() for line in capsys.readouterr().out.splitlines())
+        assert header == ["guess", "run", "class", "good", "bad", "%"]
+        true_ids = {wc.id for entry in load_index(test_xml).entries
+                    for wc, _ in entry.classes}
+        assert len(true_ids) == 3
+        for guess in ("1st", "2nd"):
+            assert sorted(row[2] for row in rows if row[0] == guess) == sorted(true_ids)
 
 
 class TestSweepCommand:

@@ -17,13 +17,11 @@ from codewave.dnet import (COMPUTED, IN_PROGRESS, PENDING, RECV_CHUNK, DemandSto
                            deposit_demand, model_digest, recv_message,
                            run_generator, run_worker, send_message,
                            signature_for)
-from codewave.classify import save_training_set
-from codewave.engine import PipelineConfig, parse_option_tokens, train_case
+from codewave.engine import PipelineConfig, model_bytes, parse_option_tokens, train_case
 from codewave.engine import test_case as classify_case
 from codewave.errors import ConfigError, ProtocolError, TransportError
 from codewave.index import IndexEntry, WeaknessClass
 from codewave.index import TestCaseIndex as CaseIndex
-from codewave.nlp import save_models
 from codewave.preprocess import ShortSignalWarning
 
 from .test_engine import valid_configs
@@ -439,9 +437,8 @@ class TestDistributedEquivalence:
         signal_model, nlp_models = (train_case(index, cfg, root)
                                     for cfg in (CFG, nlp_cfg))
         # as `codewave train` saves them
-        save_training_set(signal_model, tmp_path / "model.cwts")
-        save_models(nlp_models, tmp_path / "model.cwnm",
-                    config_hash=nlp_cfg.config_hash)
+        (tmp_path / "model.cwts").write_bytes(model_bytes(signal_model))
+        (tmp_path / "model.cwnm").write_bytes(model_bytes(nlp_models))
         for model, name in ((signal_model, "model.cwts"),
                             (nlp_models, "model.cwnm")):
             assert model_digest(model) == content_digest(

@@ -775,13 +775,15 @@ class TestForkBytes:
 
 class TestBlocks:
     """A block is a run of consecutive files of one length holding at most
-    BLOCK_BYTES of input; each block is preprocessed as one 2-D array."""
+    BLOCK_BYTES of input, each file counting as at least BLOCK_BYTES // 16
+    bytes; each block is preprocessed as one 2-D array."""
 
     @pytest.mark.parametrize("sizes, blocks", [
         ([4096] * 8, [4, 4]),
         ([100, 200, 100, 200], [1, 1, 1, 1]),
         ([4096, 4096, engine.BLOCK_BYTES + 1, 4096, 4096], [2, 1, 2]),
-    ], ids=["4 KB files", "alternating lengths", "large file between"])
+        ([0] * 40, [16, 16, 8]),
+    ], ids=["4 KB files", "alternating lengths", "large file between", "empty files"])
     def test_rows_per_block(self, tmp_path, monkeypatch, sizes, blocks):
         rng = np.random.default_rng(9)
         paths = [f"f{i}.bin" for i in range(len(sizes))]

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from codewave.loader import Signal, load_signal, normalize, samples_from_bytes
+from codewave.engine import _contents
+from codewave.loader import peak_normalize, samples_from_bytes
 
 
 class TestSamplesFromBytes:
@@ -61,48 +62,53 @@ class TestSamplesFromBytes:
 
 
 class TestLoadSignal:
+    """A file's signal: its bytes, read as the engine reads them, turned
+    into samples."""
+
     def test_content_addressed(self, tmp_path):
         a = tmp_path / "a.bin"
         b = tmp_path / "sub" / "b.bin"
         b.parent.mkdir()
         a.write_bytes(b"identical content")
         b.write_bytes(b"identical content")
-        assert np.array_equal(load_signal(a, 2).samples, load_signal(b, 2).samples)
+        data_a, data_b = _contents(tmp_path, ["a.bin", "sub/b.bin"])
+        assert np.array_equal(samples_from_bytes(data_a, 2), samples_from_bytes(data_b, 2))
 
     def test_metadata(self, tmp_path):
         f = tmp_path / "x.bin"
         f.write_bytes(b"abcd")
-        # a signal carries only its samples; the n-gram width shows in them
-        assert load_signal(f, 1).samples.tolist() == \
+        (data,) = _contents(tmp_path, ["x.bin"])
+        # a signal is only its samples; the n-gram width shows in their number
+        assert samples_from_bytes(data, 1).tolist() == \
             samples_from_bytes(b"abcd", 1).tolist()
-        assert len(load_signal(f, 1)) == 4
-        assert len(load_signal(f, 3)) == 2
+        assert len(samples_from_bytes(data, 1)) == 4
+        assert len(samples_from_bytes(data, 3)) == 2
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
-            load_signal(tmp_path / "absent.bin", 1)
+            list(_contents(tmp_path, ["absent.bin"]))
 
 
 class TestNormalize:
     def test_scales_to_unit_peak(self):
-        out = normalize(Signal(np.array([0.25, -0.5])))
-        assert out.samples.tolist() == [0.5, -1.0]
+        out = peak_normalize(np.array([[0.25, -0.5]]))
+        assert out.tolist() == [[0.5, -1.0]]
 
     def test_all_zero_unchanged(self):
-        out = normalize(Signal(np.zeros(3)))
-        assert out.samples.tolist() == [0.0, 0.0, 0.0]
+        out = peak_normalize(np.zeros((1, 3)))
+        assert out.tolist() == [[0.0, 0.0, 0.0]]
 
     def test_already_normalized_unchanged(self):
-        out = normalize(Signal(np.array([1.0, -0.2])))
-        assert out.samples.tolist() == [1.0, -0.2]
+        out = peak_normalize(np.array([[1.0, -0.2]]))
+        assert out.tolist() == [[1.0, -0.2]]
 
     def test_empty(self):
-        assert len(normalize(Signal(np.zeros(0))).samples) == 0
+        assert peak_normalize(np.zeros((1, 0))).shape == (1, 0)
 
     @given(st.lists(st.floats(-1.0, 1.0, allow_nan=False), max_size=32))
     def test_idempotent_with_unit_or_zero_peak(self, values):
-        once = normalize(Signal(np.array(values, dtype=float)))
-        twice = normalize(once)
-        assert np.allclose(once.samples, twice.samples, atol=1e-15)
+        once = peak_normalize(np.array([values], dtype=float))
+        twice = peak_normalize(once)
+        assert np.allclose(once, twice, atol=1e-15)
         if len(values):
-            assert np.max(np.abs(once.samples)) in (0.0, pytest.approx(1.0))
+            assert np.max(np.abs(once)) in (0.0, pytest.approx(1.0))

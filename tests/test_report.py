@@ -11,7 +11,7 @@ from codewave.index import WeaknessClass
 from codewave.report import (CaseMeta, export_forensic_lucid, export_sate_xml,
                              export_spectrogram, export_stats_table,
                              export_wave_image, parse_sate_xml,
-                             report_filename, validate_sate_xml)
+                             report_filename)
 
 from .oracles import naive_dft
 
@@ -31,16 +31,12 @@ def warning(path="epan/packet-afs.c", wc=CVE, score=0.0425, second=CWE):
 
 class TestSateXml:
     def test_empty_report_is_valid(self):
-        doc = export_sate_xml([], META)
-        validate_sate_xml(doc)
-        parsed, meta = parse_sate_xml(doc)
+        parsed, meta = parse_sate_xml(export_sate_xml([], META))
         assert parsed == []
         assert meta == META
 
     def test_single_warning(self):
-        doc = export_sate_xml([warning()], META)
-        validate_sate_xml(doc)
-        parsed, _ = parse_sate_xml(doc)
+        parsed, _ = parse_sate_xml(export_sate_xml([warning()], META))
         assert parsed[0].path == "epan/packet-afs.c"
         assert parsed[0].weakness == CVE
         assert parsed[0].score == pytest.approx(0.0425)
@@ -73,9 +69,9 @@ class TestSateXml:
 
     def test_validate_rejects_garbage(self):
         with pytest.raises(IndexFormatError):
-            validate_sate_xml("<report><oops/></report>")
+            parse_sate_xml("<report><oops/></report>")
         with pytest.raises(IndexFormatError):
-            validate_sate_xml("not xml at all")
+            parse_sate_xml("not xml at all")
 
     @pytest.mark.parametrize("attributes", [
         'score="inf"', 'score="nan"', 'score="abc"', 'score="1" rank="0"',
@@ -83,9 +79,8 @@ class TestSateXml:
     def test_bad_score_or_rank_names_the_path(self, attributes):
         doc = (f'<report><warning path="src/a.c" {attributes}>'
                '<class kind="cwe" id="CWE-20"/></warning></report>')
-        for read in (parse_sate_xml, validate_sate_xml):
-            with pytest.raises(IndexFormatError, match="'src/a.c'"):
-                read(doc)
+        with pytest.raises(IndexFormatError, match="'src/a.c'"):
+            parse_sate_xml(doc)
 
     def test_warning_without_a_path_refused(self):
         for path in ("", ' path=""'):
